@@ -18,7 +18,6 @@
 #include "common/time.hh"
 #include "driver/journal.hh"
 #include "driver/metrics_report.hh"
-#include "sim/config_report.hh"
 #include "sim/pipelines.hh"
 #include "sim/sweep.hh"
 
@@ -516,13 +515,13 @@ ExperimentDriver::run()
         span::setEnabled(true);
     }
 
-    // Static reports short-circuit the job matrix entirely.
+    // Static reports short-circuit the job matrix: no results, and
+    // the table sink renders the report from the spec alone.
     if (spec.report == ExperimentSpec::Report::SystemConfig) {
-        std::fputs(sim::systemConfigReport(spec.baseConfig()).c_str(),
-                   stdout);
         ExperimentReport report;
         report.meta.specName = spec.name;
         report.meta.timestamp = iso8601UtcNow();
+        report.sinksOk = deliver(report);
         return report;
     }
 
@@ -849,33 +848,7 @@ ExperimentDriver::run()
             + metrics::histogram("phase.simulate_ns").sum())
         / 1e9;
 
-    // Deliver in spec order to the spec's sinks plus any extras. A
-    // suppressing caller (the serve daemon) replaced the spec's sinks
-    // with its own capturing ones via addSink, so only extras run —
-    // including the implicit default table.
-    std::vector<std::unique_ptr<Sink>> sinks;
-    if (opts.suppressSpecSinks) {
-        // nothing from the spec
-    } else if (spec.sinks.empty()) {
-        sinks.push_back(makeSink(SinkSpec{}));
-    } else {
-        for (const auto &s : spec.sinks)
-            sinks.push_back(makeSink(s));
-    }
-    for (auto &s : extraSinks)
-        sinks.push_back(std::move(s));
-    extraSinks.clear();
-    {
-        span::Span sink_span("sink-render", "phase");
-        metrics::ScopedTimer sink_timer(
-            metrics::histogram("phase.sink_render_ns"));
-        for (const auto &s : sinks) {
-            for (const auto &r : report.results)
-                s->result(r);
-            if (!s->finish(spec, report.meta))
-                report.sinksOk = false;
-        }
-    }
+    report.sinksOk = deliver(report);
 
     // Observability outputs last, so they cover the sink phase too.
     // A requested-but-unwritable file fails the run like any sink.
@@ -889,6 +862,38 @@ ExperimentDriver::run()
         && !writeMetricsReport(report, opts.metricsOut))
         report.sinksOk = false;
     return report;
+}
+
+bool
+ExperimentDriver::deliver(const ExperimentReport &report)
+{
+    // A suppressing caller (the serve daemon) replaced the spec's
+    // sinks with its own capturing ones via addSink, so only extras
+    // run — including the implicit default table.
+    std::vector<std::unique_ptr<Sink>> sinks;
+    if (opts.suppressSpecSinks) {
+        // nothing from the spec
+    } else if (spec.sinks.empty()) {
+        sinks.push_back(makeSink(SinkSpec{}));
+    } else {
+        for (const auto &s : spec.sinks)
+            sinks.push_back(makeSink(s));
+    }
+    for (auto &s : extraSinks)
+        sinks.push_back(std::move(s));
+    extraSinks.clear();
+
+    span::Span sink_span("sink-render", "phase");
+    metrics::ScopedTimer sink_timer(
+        metrics::histogram("phase.sink_render_ns"));
+    bool ok = true;
+    for (const auto &s : sinks) {
+        for (const auto &r : report.results)
+            s->result(r);
+        if (!s->finish(spec, report.meta))
+            ok = false;
+    }
+    return ok;
 }
 
 int

@@ -4,9 +4,8 @@
  * (workload x pipeline) SweepEngine jobs, runs them across the
  * thread pool, derives the requested metrics, and streams the
  * results — in spec order, so output is independent of scheduling —
- * to the spec's sinks. This is the layer the `prophet` CLI and the
- * end-to-end tests drive; the figure benches it supersedes each
- * hardcoded one slice of what a spec file now describes.
+ * to the spec's sinks. This is the layer the `prophet` CLI, the serve
+ * daemon, and the end-to-end and golden tests drive.
  */
 
 #ifndef PROPHET_DRIVER_DRIVER_HH
@@ -187,6 +186,13 @@ class ExperimentDriver
     ExperimentSpec spec;
     DriverOptions opts;
     std::vector<std::unique_ptr<Sink>> extraSinks;
+
+    /**
+     * Feed @p report's results, in spec order, to the spec's sinks
+     * (unless suppressed) plus the extras, then finish each. False
+     * when any sink failed to write.
+     */
+    bool deliver(const ExperimentReport &report);
 };
 
 /** Compute one metric by name for a finished run. */

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "common/log.hh"
+#include "sim/config_report.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 
@@ -51,8 +52,10 @@ metricValue(const JobResult &r, const std::string &metric)
 /**
  * stdout tables, one per metric: workloads as rows, pipelines as
  * columns, plus the figures' Geomean row (geomean over the positive
- * values only — the same rule bench_util applies, so a pipeline
- * stuck at zero reports 0 instead of poisoning the mean).
+ * values only, so a pipeline stuck at zero reports 0 instead of
+ * poisoning the mean). A static-report spec renders its report
+ * instead — through this same sink, so the CLI, the serve daemon's
+ * capturing sinks, and the golden tests share one path.
  */
 class TableSink : public Sink
 {
@@ -70,6 +73,24 @@ class TableSink : public Sink
 
     bool
     finish(const ExperimentSpec &spec, const RunMeta &meta) override
+    {
+        std::string out =
+            spec.report == ExperimentSpec::Report::SystemConfig
+            ? sim::systemConfigReport(spec.baseConfig())
+            : renderTables(spec, meta);
+        if (capture)
+            *capture = std::move(out);
+        else
+            std::fwrite(out.data(), 1, out.size(), stdout);
+        return true;
+    }
+
+  private:
+    std::string *capture; ///< null = stdout (the CLI path)
+    std::vector<JobResult> results;
+
+    std::string
+    renderTables(const ExperimentSpec &spec, const RunMeta &meta) const
     {
         std::string out;
         appendf(out,
@@ -95,16 +116,8 @@ class TableSink : public Sink
                 meta.wallSeconds, meta.traceLoadSeconds,
                 meta.simulateSeconds, meta.threads,
                 meta.threads == 1 ? "" : "s");
-        if (capture)
-            *capture = std::move(out);
-        else
-            std::fwrite(out.data(), 1, out.size(), stdout);
-        return true;
+        return out;
     }
-
-  private:
-    std::string *capture; ///< null = stdout (the CLI path)
-    std::vector<JobResult> results;
 
     const JobResult &
     at(const std::string &w, const std::string &p) const
@@ -117,7 +130,7 @@ class TableSink : public Sink
 
     void
     printMetric(std::string &out, const ExperimentSpec &spec,
-                const std::string &metric)
+                const std::string &metric) const
     {
         // Column titles and order come straight from the registry-
         // validated pipeline instances (label, else display name).

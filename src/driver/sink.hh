@@ -5,8 +5,8 @@
  * never completion order — then finishes with run metadata, so a
  * sink's output is bit-identical across thread counts.
  *
- *   table — the human-readable per-metric tables with a Geomean row
- *           (the same numbers the figure benches print);
+ *   table — the human-readable per-metric tables with a Geomean row,
+ *           or a static-report spec's report;
  *   json  — one machine-readable document with full RunStats per
  *           job plus run metadata, for perf tracking;
  *   csv   — one row per job, for spreadsheets.

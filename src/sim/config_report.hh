@@ -1,9 +1,8 @@
 /**
  * @file
  * Table 1 rendering: the simulated machine's parameters as a
- * human-readable table, shared by the `bench_table1` binary and the
- * driver's `"report": "system-config"` specs so both print the exact
- * same bytes.
+ * human-readable table, which the driver's table sink prints for
+ * `"report": "system-config"` specs.
  */
 
 #ifndef PROPHET_SIM_CONFIG_REPORT_HH

@@ -124,9 +124,9 @@ errorCodeOf(const json::Value &resp)
     return c && c->isString() ? c->asString() : "";
 }
 
-/** The one CSV sink's rendered bytes from a result frame. */
+/** The one sink's rendered bytes from a result frame. */
 std::string
-csvContent(const json::Value &result)
+sinkContent(const json::Value &result)
 {
     const json::Value *sinks = result.find("sinks");
     EXPECT_TRUE(sinks && sinks->isArray()
@@ -236,7 +236,7 @@ TEST_F(ServeDaemonTest, RunMatchesStandaloneDriverByteForByte)
     const json::Value *ec = resp.find("exit_code");
     ASSERT_TRUE(ec && ec->isNumber());
     EXPECT_EQ(static_cast<int>(ec->asNumber()), 0);
-    const std::string served = csvContent(resp);
+    const std::string served = sinkContent(resp);
     ASSERT_FALSE(served.empty());
     daemon.drainAndStop();
 
@@ -259,6 +259,39 @@ TEST_F(ServeDaemonTest, RunMatchesStandaloneDriverByteForByte)
     EXPECT_EQ(served, direct);
 }
 
+TEST_F(ServeDaemonTest, StaticReportMatchesStandaloneDriverByteForByte)
+{
+    // A static report runs no jobs, but its text must still travel
+    // back through the default table sink — not land on the daemon's
+    // own stdout and leave the client with nothing to print.
+    const std::string table1 =
+        "{\"name\": \"table1\", \"report\": \"system-config\"}";
+    ServeDaemon daemon(opts);
+    daemon.start();
+    json::Value resp = roundTrip(sock, runRequest(table1));
+    ASSERT_EQ(frameType(resp), "result") << errorCodeOf(resp);
+    const json::Value *ec = resp.find("exit_code");
+    ASSERT_TRUE(ec && ec->isNumber());
+    EXPECT_EQ(static_cast<int>(ec->asNumber()), 0);
+    const std::string served = sinkContent(resp);
+    daemon.drainAndStop();
+
+    json::Value doc;
+    ASSERT_TRUE(json::parse(table1, doc, nullptr));
+    driver::DriverOptions dopts;
+    dopts.resetMetrics = false;
+    dopts.suppressSpecSinks = true;
+    driver::ExperimentDriver drv(driver::ExperimentSpec::fromJson(doc),
+                                 dopts);
+    std::string direct;
+    drv.addSink(driver::makeCapturingSink(driver::SinkSpec{}, &direct));
+    ASSERT_TRUE(drv.run().ok());
+    EXPECT_EQ(direct.rfind("== Table 1: System Configuration ==", 0),
+              0u)
+        << direct;
+    EXPECT_EQ(served, direct);
+}
+
 TEST_F(ServeDaemonTest, WarmRepeatHitsResidentTraces)
 {
     ServeDaemon daemon(opts);
@@ -272,7 +305,7 @@ TEST_F(ServeDaemonTest, WarmRepeatHitsResidentTraces)
     ASSERT_EQ(frameType(first), "result");
     json::Value second = roundTrip(sock, runRequest(specText()));
     ASSERT_EQ(frameType(second), "result");
-    EXPECT_EQ(csvContent(first), csvContent(second));
+    EXPECT_EQ(sinkContent(first), sinkContent(second));
 
     // Same base-config tuple: one resident runner, and the repeat
     // request's trace loads were all satisfied from residency.
@@ -324,7 +357,7 @@ TEST_F(ServeDaemonTest, ConcurrentClientsGetIdenticalResults)
             exit_codes[i] = ec && ec->isNumber()
                 ? static_cast<int>(ec->asNumber())
                 : -1;
-            contents[i] = csvContent(resp);
+            contents[i] = sinkContent(resp);
         });
     for (auto &t : clients)
         t.join();

@@ -117,9 +117,9 @@ ProphetPrefetcher::observe(PC pc, Addr line_addr, bool l2_hit,
     for (unsigned d = 0; d < degree; ++d) {
         auto target = table.lookup(cur);
         if (use_mvb) {
-            std::vector<Addr> extra;
-            mvb.lookup(cur, target.value_or(kInvalidAddr), extra);
-            for (Addr t : extra)
+            mvbPaths.clear();
+            mvb.lookup(cur, target.value_or(kInvalidAddr), mvbPaths);
+            for (Addr t : mvbPaths)
                 out.push_back(pf::PrefetchRequest{t, pc});
         }
         if (!target)

@@ -145,6 +145,10 @@ class ProphetPrefetcher : public pf::TemporalPrefetcher
     ProfileCollector profileData;
     bool temporalOff = false;
 
+    /** Scratch for one chain step's MVB paths, reused so the warmed
+     *  observe() path never allocates. */
+    std::vector<Addr> mvbPaths;
+
     /** Effective degree (1 in profiling mode). */
     unsigned effectiveDegree() const;
 };

@@ -15,6 +15,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/analyzer.hh"
+#include "sim/runner.hh"
 #include "sim/system.hh"
 #include "workloads/pattern_lib.hh"
 
@@ -170,6 +172,44 @@ INSTANTIATE_TEST_SUITE_P(
             return "other";
         }
     });
+
+TEST(WarmProphetStep, AnalyzedBinaryStepDoesNotAllocate)
+{
+    // The hint-free default binary above gives every victim priority
+    // 0, which the Multi-path Victim Buffer rejects — so its chase
+    // never returns an extra path. mcf's analyzed binary carries
+    // hints: victims enter the MVB and its lookups return targets,
+    // the configuration the Prophet figures actually run.
+    Runner runner(SystemConfig::table1(), 400000);
+    const trace::Trace &t = runner.traceFor("mcf");
+    SystemConfig cfg = runner.baseConfig();
+    cfg.l2Pf = L2PfKind::Prophet;
+    cfg.binary =
+        core::Analyzer().analyze(runner.profileWorkload("mcf"));
+    cfg.warmupRecords = 0;
+    ASSERT_GT(cfg.binary.hints.size(), 0u);
+
+    System sys(cfg);
+    sys.beginRun(t.size());
+    const std::size_t warm = t.size() / 2;
+    for (std::size_t i = 0; i < warm; ++i)
+        sys.step(t[i]);
+    const std::uint64_t mvb_before =
+        sys.prophet()->victimBuffer().stats().extraTargets;
+
+    std::uint64_t before = g_heapAllocs.load();
+    for (std::size_t i = warm; i < t.size(); ++i)
+        sys.step(t[i]);
+    std::uint64_t during = g_heapAllocs.load() - before;
+
+    const std::uint64_t mvb_paths =
+        sys.prophet()->victimBuffer().stats().extraTargets - mvb_before;
+    RunStats s = sys.finish();
+    EXPECT_EQ(during, 0u) << "warmed Prophet step allocated with an "
+                          << "analyzed binary";
+    EXPECT_GT(mvb_paths, 0u); // the MVB returned extra paths
+    EXPECT_GT(s.l2PrefetchesIssued, 0u);
+}
 
 } // anonymous namespace
 } // namespace prophet::sim

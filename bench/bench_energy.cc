@@ -10,6 +10,7 @@
 #include "bench_util.hh"
 #include "sim/energy.hh"
 #include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 #include "workloads/registry.hh"
@@ -20,7 +21,7 @@ main(int argc, char **argv)
     using namespace prophet;
     unsigned threads = bench::parseThreads(argc, argv);
     sim::Runner runner;
-    sim::SweepEngine engine(runner, threads);
+    sim::SweepEngine engine(threads);
     const auto &workloads = workloads::specWorkloads();
 
     // One job per (workload x system) cell, merged by index so the

@@ -23,6 +23,7 @@
 #include "bench_util.hh"
 #include "prefetch/triangel.hh"
 #include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "stats/table.hh"
 #include "workloads/registry.hh"
 
@@ -163,7 +164,7 @@ main(int argc, char **argv)
 {
     unsigned threads = prophet::bench::parseThreads(argc, argv);
     prophet::sim::Runner runner;
-    prophet::sim::SweepEngine engine(runner, threads);
+    prophet::sim::SweepEngine engine(threads);
 
     // The two analyses are independent jobs; rendering into strings
     // keeps stdout in figure order at any thread count.

@@ -15,6 +15,8 @@
 #include <unordered_map>
 
 #include "bench_util.hh"
+#include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 #include "trace/trace.hh"
@@ -27,7 +29,7 @@ main(int argc, char **argv)
     constexpr unsigned kMaxT = 5;
     unsigned threads = bench::parseThreads(argc, argv);
     sim::Runner runner;
-    sim::SweepEngine engine(runner, threads);
+    sim::SweepEngine engine(threads);
     const auto &workloads = workloads::specWorkloads();
 
     // One trace-analysis job per workload, merged by index; progress

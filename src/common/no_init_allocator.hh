@@ -3,7 +3,7 @@
  * std::allocator variant whose value-construction is default-init:
  * `std::vector<T, NoInitAllocator<T>> v(n)` for trivial T allocates
  * without writing the elements. Bulk deserialization (the trace
- * cache's v2 loader) sizes a vector and then freads straight into
+ * cache's loader) sizes a vector and then freads straight into
  * it; with the standard allocator that touches every page twice —
  * once for the value-init memset, once for the read.
  */

@@ -110,12 +110,6 @@ class ProphetPrefetcher : public pf::TemporalPrefetcher
         markov = table.stats();
     }
 
-    void
-    prefetchSets(Addr line_addr) const override
-    {
-        table.prefetchSets(line_addr);
-    }
-
     std::string name() const override
     {
         return cfg.profilingMode ? "prophet-simplified" : "prophet";

@@ -541,7 +541,7 @@ ExperimentDriver::run()
         runner.setTraceCache(cache);
     }
 
-    sim::SweepEngine engine(runner, effectiveThreads());
+    sim::SweepEngine engine(effectiveThreads());
     prophet_infof("%s: %zu workloads x %zu pipelines on %u "
                   "thread%s%s",
                   spec.name.c_str(), spec.workloads.size(),

@@ -12,7 +12,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/prefetch.hh"
 #include "common/types.hh"
 #include "mem/cache_config.hh"
 #include "mem/replacement.hh"
@@ -145,27 +144,6 @@ class Cache
 
     /** Demand-visible capacity in bytes under the current partition. */
     std::uint64_t effectiveBytes() const;
-
-    /**
-     * Warm the tag scan array of @p line_addr's set ahead of an
-     * upcoming lookup/fill (the record loop's lookahead). Pure
-     * software prefetch: no state, statistics, or replacement
-     * update — results are bit-identical with or without it.
-     */
-    void
-    prefetchSets(Addr line_addr) const
-    {
-        const std::size_t base = lineIndex(setIndex(line_addr), 0);
-        // The 32-bit scan array: 16 per 64 B line covers any set in
-        // one prefetch.
-        prefetchRead(tagLo.data() + base);
-        // The full tags, read on a match and written on a fill (8
-        // per line; the 16-way LLC spans two).
-        constexpr unsigned kTagsPerLine = kLineSize / sizeof(Addr);
-        const Addr *t = tags.data() + base;
-        for (unsigned w = 0; w < waysTotal; w += kTagsPerLine)
-            prefetchRead(t + w);
-    }
 
   private:
     /**

@@ -114,19 +114,6 @@ class Hierarchy
     /** L2 prefetches actually issued via prefetchL2(). */
     std::uint64_t l2PrefetchesIssued() const { return l2PfIssued; }
 
-    /**
-     * Warm the tag scan arrays an access() of @p line_addr would
-     * probe at every level (the record loop's lookahead). Pure
-     * software prefetch; see Cache::prefetchSets.
-     */
-    void
-    prefetchSets(Addr line_addr) const
-    {
-        l1Cache.prefetchSets(line_addr);
-        l2Cache.prefetchSets(line_addr);
-        llcCache.prefetchSets(line_addr);
-    }
-
     /** Reset all statistics (warmup boundary). */
     void resetStats();
 

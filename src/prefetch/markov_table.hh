@@ -27,7 +27,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/prefetch.hh"
 #include "common/types.hh"
 #include "mem/replacement.hh"
 #include "prefetch/metadata_format.hh"
@@ -143,37 +142,6 @@ class MarkovTable
 
     /** Priority of the entry holding @p key, if present (tests). */
     std::optional<std::uint8_t> priorityOf(Addr key) const;
-
-    /**
-     * Warm the fingerprint scan array of @p key's set ahead of an
-     * upcoming lookup/insert (the record loop's lookahead). Pure
-     * software prefetch: no replacement or statistics update, so
-     * results are bit-identical with or without it.
-     */
-    void
-    prefetchSets(Addr key) const
-    {
-        if (curA == 0)
-            return;
-        const unsigned set = setIndex(key);
-        // Valid entries are a contiguous prefix (see findWay), so
-        // only the lines the scan and the hit path can actually
-        // touch are warmed: the fingerprint span (16 per 64 B line)
-        // and the successor span (8 per line) up to the valid count.
-        const unsigned limit = setValid[set];
-        if (limit == 0)
-            return;
-        const std::size_t base = slotIndex(set, 0);
-        constexpr unsigned kFpsPerLine =
-            kLineSize / sizeof(std::uint32_t);
-        const std::uint32_t *f = fps.data() + base;
-        for (unsigned w = 0; w < limit; w += kFpsPerLine)
-            prefetchRead(f + w);
-        constexpr unsigned kTargetsPerLine = kLineSize / sizeof(Addr);
-        const Addr *tg = targets.data() + base;
-        for (unsigned w = 0; w < limit; w += kTargetsPerLine)
-            prefetchRead(tg + w);
-    }
 
   private:
     unsigned numSets;

@@ -106,19 +106,6 @@ class TemporalPrefetcher
      */
     virtual void notifyUseless(PC pc) { (void)pc; }
 
-    /**
-     * Warm the metadata structures an observe() of @p line_addr
-     * would probe (the record loop's lookahead). Must be a pure
-     * software prefetch — no state change — so results stay
-     * bit-identical whether or not the caller uses it. On-chip
-     * schemes prefetch their Markov-table set scan; the default
-     * no-op suits schemes without one.
-     */
-    virtual void prefetchSets(Addr line_addr) const
-    {
-        (void)line_addr;
-    }
-
     /** LLC ways currently allocated to the metadata table. */
     virtual unsigned metadataWays() const = 0;
 

@@ -71,12 +71,6 @@ class TriagePrefetcher : public TemporalPrefetcher
         markov = table.stats();
     }
 
-    void
-    prefetchSets(Addr line_addr) const override
-    {
-        table.prefetchSets(line_addr);
-    }
-
     std::string name() const override { return "triage"; }
 
     /** Direct access for tests and the storage model. */

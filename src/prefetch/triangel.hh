@@ -92,12 +92,6 @@ class TriangelPrefetcher : public TemporalPrefetcher
         markov = table.stats();
     }
 
-    void
-    prefetchSets(Addr line_addr) const override
-    {
-        table.prefetchSets(line_addr);
-    }
-
     std::string name() const override { return "triangel"; }
 
     MarkovTable &markovTable() { return table; }

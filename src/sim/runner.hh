@@ -43,7 +43,8 @@ struct Rpg2Outcome
 
 /**
  * The experiment runner. One instance caches traces and baseline
- * runs across the experiments of a bench binary.
+ * runs across the jobs of a driver run (or, resident in the serve
+ * daemon, across requests).
  *
  * Thread safety: all public methods may be called concurrently from
  * sweep-engine workers. Traces are generated once, stored immutably
@@ -199,7 +200,7 @@ class Runner
      */
     std::size_t evictLruTrace();
 
-    /** The base configuration (benches derive variants from it). */
+    /** The base configuration (pipelines derive variants from it). */
     const SystemConfig &baseConfig() const { return base; }
 
     /** Speedup of stats over the cached baseline of a workload. */

@@ -1,14 +1,14 @@
 /**
  * @file
- * The parallel sweep engine: fans (workload x config) simulation
- * jobs — including the multi-run RPG2 tuning and Prophet
- * profile/analyze/run pipelines — across a fixed-size thread pool
- * and merges results deterministically.
+ * The parallel sweep engine: fans indexed jobs — the driver's
+ * (workload x pipeline) simulations, including the multi-run RPG2
+ * tuning and Prophet profile/analyze/run pipelines — across a
+ * fixed-size thread pool.
  *
  * Every job is an independent System over a shared immutable trace,
  * and each pipeline's internal runs stay sequential inside its job,
- * so a sweep's results are bit-identical to serial execution: the
- * merge is by job index, never by completion order.
+ * so a sweep's results are bit-identical to serial execution as long
+ * as callers merge by job index, never by completion order.
  */
 
 #ifndef PROPHET_SIM_SWEEP_HH
@@ -16,55 +16,27 @@
 
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/cancellation.hh"
-#include "sim/runner.hh"
 #include "sim/thread_pool.hh"
 
 namespace prophet::sim
 {
 
-/** One (workload x config) simulation job. */
-struct SweepJob
-{
-    std::string workload;
-    SystemConfig cfg;
-};
-
 /**
- * The standard figure comparison on one workload: the full RPG2
- * pipeline, Triangel, and the full Prophet pipeline.
- */
-struct TrioOutcome
-{
-    Rpg2Outcome rpg2{};
-    RunStats triangel{};
-    ProphetOutcome prophet{};
-};
-
-/**
- * Schedules simulation jobs over a Runner. With threads == 1 the
- * engine degrades to plain serial execution in the calling thread;
- * any thread count produces identical results.
+ * Fans jobs across a thread pool. With threads == 1 the engine
+ * degrades to plain serial execution in the calling thread.
  */
 class SweepEngine
 {
   public:
-    /**
-     * @param runner Shared experiment runner (thread-safe caches).
-     * @param threads Worker count; 0 = hardware concurrency.
-     */
-    explicit SweepEngine(Runner &runner, unsigned threads = 0);
+    /** @param threads Worker count; 0 = hardware concurrency. */
+    explicit SweepEngine(unsigned threads = 0);
 
     /** Worker count in use. */
     unsigned threads() const;
-
-    /** The underlying runner. */
-    Runner &runner() { return runnerRef; }
 
     /** How tryForEach responds to a failing index. */
     enum class FailurePolicy
@@ -95,7 +67,8 @@ class SweepEngine
 
     /**
      * Run fn(0..n-1), fanned across the pool. Returns when all
-     * indices have completed; rethrows the first job exception.
+     * indices have completed; rethrows the exception of the
+     * lowest-index failing job.
      */
     void forEach(std::size_t n,
                  const std::function<void(std::size_t)> &fn);
@@ -118,30 +91,7 @@ class SweepEngine
                FailurePolicy policy = FailurePolicy::KeepGoing,
                CancellationToken *token = nullptr);
 
-    /**
-     * Run every job and return stats in job order (deterministic
-     * merge regardless of completion order).
-     */
-    std::vector<RunStats> runConfigs(const std::vector<SweepJob> &jobs);
-
-    /**
-     * The headline trio on each workload. Baselines are computed
-     * first (one job per workload), then the three systems fan out
-     * as independent jobs: the RPG2 identify/tune pipeline, the
-     * Triangel run, and the Prophet profile/analyze/run pipeline.
-     */
-    std::map<std::string, TrioOutcome>
-    runTrios(const std::vector<std::string> &workloads);
-
-    /**
-     * Pre-generate traces and baseline runs for the workloads, one
-     * job per workload (useful before derived sweeps whose jobs all
-     * consult the baseline).
-     */
-    void warmBaselines(const std::vector<std::string> &workloads);
-
   private:
-    Runner &runnerRef;
     std::unique_ptr<ThreadPool> pool; ///< null when single-threaded
 };
 

@@ -596,37 +596,15 @@ System::run(const trace::Trace &t)
 
     beginRun(t.size());
 
-    // The whole-trace loop reads the trace's SoA arrays directly —
-    // no TraceRecord is materialized — and runs in two blocks
-    // separated by the point where the lookahead runs out. Block 1:
-    // while record i is simulated, the set-scan arrays record i+K
-    // will probe (all cache levels plus the temporal prefetcher's
-    // Markov table) are software-prefetched, hiding the dependent
-    // tag/key probe latency that dominates the warmed per-record
-    // cost. Block 2 (the last K records) steps without lookahead, so
-    // the hot loop needs no bounds check on i+K. Prefetches have no
-    // architectural effect: results are bit-identical to scalar
-    // step() calls (pinned by tests/test_pipelines.cc).
+    // The whole-trace loop reads the trace's SoA arrays directly — no
+    // TraceRecord is materialized — through the same stepRecord body
+    // as step(), so run() is bit-identical to the scalar step() loop
+    // (pinned by tests/test_pipelines.cc).
     const std::size_t n = t.size();
     const PC *pcs = t.pcData();
     const Addr *addrs = t.addrData();
-    const Addr *lines = t.lineAddrData();
     const std::uint32_t *metas = t.metaData();
-
-    constexpr std::size_t K = kPrefetchLookahead;
-    const std::size_t lookahead_end = n > K ? n - K : 0;
-    std::size_t i = 0;
-    for (; i < lookahead_end; ++i) {
-        const Addr ahead = lines[i + K];
-        hier.prefetchSets(ahead);
-        if (l2Raw)
-            l2Raw->prefetchSets(ahead);
-        const std::uint32_t m = metas[i];
-        stepRecord(pcs[i], addrs[i], trace::Trace::gapOf(m),
-                   trace::Trace::dependsOf(m),
-                   trace::Trace::writeOf(m));
-    }
-    for (; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         const std::uint32_t m = metas[i];
         stepRecord(pcs[i], addrs[i], trace::Trace::gapOf(m),
                    trace::Trace::dependsOf(m),

@@ -108,19 +108,6 @@ class System
 {
   public:
     /**
-     * Lookahead depth K of run()'s software-prefetch loop: while
-     * record i is simulated, the tag/key scan arrays record i+K will
-     * probe are prefetched. K must cover the per-record simulation
-     * cost (a few hundred ns) at memory latency (~100 ns), but not
-     * run so far ahead that warmed lines are evicted again before
-     * use; 8 is comfortably inside that window on current hardware
-     * (see README "Simulator performance"). Correctness never
-     * depends on K: prefetches are architecturally invisible, and
-     * tests pin run() bit-identical to the scalar step() loop.
-     */
-    static constexpr std::size_t kPrefetchLookahead = 8;
-
-    /**
      * @param config System configuration.
      * @param resolver The workload's indirect resolver (RPG2);
      *        nullptr when absent.

@@ -91,9 +91,9 @@ ThreadPool::workerLoop(unsigned index)
             // A throwing job must not kill the worker (std::terminate)
             // or leak inFlight and hang wait(). Callers that care
             // about failures capture them inside the closure, as
-            // SweepEngine::forEach does — so an exception reaching
-            // here is a caller bug, worth a trace and a counter
-            // instead of silence.
+            // SweepEngine::tryForEach does — so an exception
+            // reaching here is a caller bug, worth a trace and a
+            // counter instead of silence.
             swallowed.fetch_add(1, std::memory_order_relaxed);
             escaped_counter.inc();
             prophet_warnf("thread-pool: job leaked exception: %s",

@@ -48,8 +48,8 @@ class ThreadPool
      * stderr, counted (swallowedExceptions()), and dropped so the
      * pool stays healthy and wait() still returns. Callers that need
      * the failure itself must capture it inside the closure, as
-     * SweepEngine::forEach does — a nonzero swallowed count therefore
-     * indicates a caller bug, not an expected path.
+     * SweepEngine::tryForEach does — a nonzero swallowed count
+     * therefore indicates a caller bug, not an expected path.
      */
     void submit(std::function<void()> job);
 

@@ -40,7 +40,7 @@ class Trace
     /**
      * Packed per-record metadata word: instGap in bits 0-15,
      * dependsOnPrev in bit 16, isWrite in bit 17. This is also the
-     * on-disk encoding of the trace-cache v2 format's meta array
+     * on-disk encoding of the binary trace format's meta array
      * (every bit is defined, so bulk-written files are
      * deterministic).
      */
@@ -121,7 +121,7 @@ class Trace
     }
 
     /**
-     * Adopt bulk-loaded arrays (trace-cache v2 loads). Line addresses
+     * Adopt bulk-loaded arrays (binary trace loads). Line addresses
      * and the instruction count are recomputed, so only the three
      * stored arrays travel through I/O. @p metas_in words must use the
      * packMeta encoding; undefined bits are masked off.

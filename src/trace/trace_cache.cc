@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -37,8 +35,6 @@ struct CacheMetrics
     metrics::Counter &hits = metrics::counter("trace_cache.hits");
     metrics::Counter &misses = metrics::counter("trace_cache.misses");
     metrics::Counter &stores = metrics::counter("trace_cache.stores");
-    metrics::Counter &upgrades =
-        metrics::counter("trace_cache.upgrades");
     metrics::Counter &checksumFailures =
         metrics::counter("trace_cache.checksum_failures");
     metrics::Counter &quarantines =
@@ -75,22 +71,6 @@ sanitize(const std::string &name)
             c = '_';
     }
     return out;
-}
-
-/** Binary-format version from a .ptrc header (0 when unreadable). */
-std::uint32_t
-fileVersion(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return 0;
-    char magic[4];
-    std::uint32_t version = 0;
-    bool ok = std::fread(magic, 1, 4, f) == 4
-        && std::memcmp(magic, "PTRC", 4) == 0
-        && std::fread(&version, sizeof(version), 1, f) == 1;
-    std::fclose(f);
-    return ok ? version : 0;
 }
 
 /**
@@ -212,7 +192,6 @@ listDir(const std::string &dir, bool corrupt)
         e.file = de.path().filename().string();
         e.bytes = static_cast<std::uint64_t>(
             fs::file_size(de.path(), ec));
-        e.version = fileVersion(de.path().string());
         out.push_back(std::move(e));
     }
     std::sort(out.begin(), out.end(),
@@ -332,20 +311,6 @@ TraceCache::load(const std::string &workload, std::size_t records,
         ++counters.misses;
         return false;
     }
-    if (report.version < kTraceFormatV3) {
-        // Legacy entry: repair in place so the next load verifies
-        // checksums. A failed rewrite is harmless — the old file
-        // stays behind and keeps serving hits.
-        if (store(workload, records, out)) {
-            prophet_infof("trace-cache: upgraded %s v%u -> v%u",
-                          file.c_str(), report.version,
-                          kTraceFormatV3);
-            CacheMetrics::get().upgrades.inc();
-            std::lock_guard<std::mutex> lock(mu);
-            ++counters.upgrades;
-            --counters.stores; // the rewrite is not a caller store
-        }
-    }
     prophet_infof("trace-cache: hit %s (%zu records) <- %s",
                   workload.c_str(), out.size(), file.c_str());
     CacheMetrics::get().hits.inc();
@@ -367,8 +332,8 @@ TraceCache::store(const std::string &workload, std::size_t records,
     // Serialize writers across processes (and threads) sharing this
     // directory. The temp+rename protocol below is atomic on its
     // own; the lock keeps concurrent writers of the *same* entry
-    // from doing redundant 100 MB writes and protects the
-    // upgrade-rewrite and counter-file read-modify-writes.
+    // from doing redundant 100 MB writes and protects the counter
+    // file's read-modify-writes.
     DirLock lock(dirPath);
     if (lock.contended()) {
         CacheMetrics::get().lockContention.inc();

@@ -56,9 +56,6 @@ class TraceCache
         std::uint64_t misses = 0;
         std::uint64_t stores = 0;
 
-        /** Legacy (v1/v2) entries rewritten as v3 on load. */
-        std::uint64_t upgrades = 0;
-
         /** Entries whose v3 array checksum failed verification. */
         std::uint64_t checksumFailures = 0;
 
@@ -90,9 +87,6 @@ class TraceCache
     {
         std::string file;       ///< file name within the cache dir
         std::uint64_t bytes = 0;
-
-        /** Binary-format version from the file header (0: unreadable). */
-        std::uint32_t version = 0;
     };
 
     /**
@@ -122,10 +116,8 @@ class TraceCache
      * quarantined (renamed to "<entry>.corrupt") so the next run
      * regenerates it while the bad bytes stay inspectable. A hit is
      * logged to stderr so cache effectiveness is observable without
-     * changing stdout. A hit on a legacy v1/v2 entry is
-     * transparently repaired: the loaded trace is re-stored in the
-     * current checksummed (v3) format, so old cache directories
-     * upgrade in place.
+     * changing stdout. An entry in any format other than v3 fails
+     * the header check and is quarantined like any damaged entry.
      */
     bool load(const std::string &workload, std::size_t records,
               Trace &out);

@@ -1,11 +1,9 @@
 #include "trace/trace_io.hh"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <vector>
 
 #include "common/checksum.hh"
 #include "common/fault_injection.hh"
@@ -18,26 +16,15 @@ namespace
 
 constexpr char kMagic[4] = {'P', 'T', 'R', 'C'};
 
-/** Bytes before the payload in the v1/v2 formats. */
-constexpr long kHeaderBytes = 16;
+/** Bytes of magic, version, and record count. */
+constexpr long kPreambleBytes = 16;
 
-/** v3 adds three u64 array checksums after the common header. */
-constexpr long kV3HeaderBytes =
-    kHeaderBytes + 3 * static_cast<long>(sizeof(std::uint64_t));
+/** The preamble plus the three u64 array checksums. */
+constexpr long kHeaderBytes =
+    kPreambleBytes + 3 * static_cast<long>(sizeof(std::uint64_t));
 
-/** Packed v1 on-disk record (fixed layout, little-endian hosts). */
-struct PackedRecord
-{
-    std::uint64_t pc;
-    std::uint64_t addr;
-    std::uint16_t instGap;
-    std::uint8_t flags; // bit0 depends, bit1 write
-    std::uint8_t pad;
-    // + 2 trailing padding bytes to the 8-byte alignment
-};
-
-/** Per-record payload bytes of the v2/v3 SoA formats. */
-constexpr std::uint64_t kSoaRecordBytes =
+/** Per-record payload bytes of the SoA arrays. */
+constexpr std::uint64_t kRecordBytes =
     sizeof(std::uint64_t) * 2 + sizeof(std::uint32_t);
 
 struct FileCloser
@@ -75,8 +62,9 @@ injectedFwrite(const void *src, std::size_t size, std::size_t n,
 }
 
 bool
-writeHeader(std::FILE *f, std::uint32_t version, std::uint64_t count)
+writeHeader(std::FILE *f, std::uint64_t count)
 {
+    const std::uint32_t version = kTraceFormatV3;
     return injectedFwrite(kMagic, 1, 4, f) == 4
         && injectedFwrite(&version, sizeof(version), 1, f) == 1
         && injectedFwrite(&count, sizeof(count), 1, f) == 1;
@@ -89,41 +77,37 @@ writeHeader(std::FILE *f, std::uint32_t version, std::uint64_t count)
  * Leaves the file position at the start of the payload.
  */
 bool
-payloadRecords(std::FILE *f, long header_bytes,
-               std::uint64_t record_bytes, std::uint64_t &max_records)
+payloadRecords(std::FILE *f, std::uint64_t &max_records)
 {
     if (std::fseek(f, 0, SEEK_END) != 0)
         return false;
     long file_size = std::ftell(f);
-    if (file_size < header_bytes
-        || std::fseek(f, header_bytes, SEEK_SET) != 0)
+    if (file_size < kHeaderBytes
+        || std::fseek(f, kHeaderBytes, SEEK_SET) != 0)
         return false;
     max_records =
-        static_cast<std::uint64_t>(file_size - header_bytes)
-        / record_bytes;
+        static_cast<std::uint64_t>(file_size - kHeaderBytes)
+        / kRecordBytes;
     return true;
 }
 
 /**
- * Shared v2/v3 SoA payload reader. For v3, @p checksums holds the
- * three header checksums and each array is verified after the bulk
- * read; a mismatch reports ChecksumMismatch at the offending
- * array's offset.
+ * Read the three SoA payload arrays, verifying each against its
+ * header checksum after the bulk read; a mismatch reports
+ * ChecksumMismatch at the offending array's offset.
  */
 void
-loadSoa(Trace &out, std::FILE *f, std::uint64_t count,
-        long header_bytes, const std::uint64_t *checksums,
-        LoadReport &report)
+loadPayload(Trace &out, std::FILE *f, std::uint64_t count,
+            const std::uint64_t *checksums, LoadReport &report)
 {
     std::uint64_t max_records = 0;
-    if (!payloadRecords(f, header_bytes, kSoaRecordBytes,
-                        max_records)) {
+    if (!payloadRecords(f, max_records)) {
         report.status = LoadStatus::Truncated;
         return;
     }
     if (count > max_records) {
         report.status = LoadStatus::Truncated;
-        report.offset = static_cast<std::uint64_t>(header_bytes);
+        report.offset = static_cast<std::uint64_t>(kHeaderBytes);
         return;
     }
     // BulkVector sizing leaves the elements uninitialized: fread is
@@ -141,7 +125,7 @@ loadSoa(Trace &out, std::FILE *f, std::uint64_t count,
         {addrs.data(), sizeof(Addr)},
         {metas.data(), sizeof(std::uint32_t)},
     };
-    std::uint64_t offset = static_cast<std::uint64_t>(header_bytes);
+    std::uint64_t offset = static_cast<std::uint64_t>(kHeaderBytes);
     for (int a = 0; a < 3; ++a) {
         if (count > 0
             && injectedFread(arrays[a].data, arrays[a].elemSize,
@@ -151,93 +135,17 @@ loadSoa(Trace &out, std::FILE *f, std::uint64_t count,
             report.offset = offset;
             return;
         }
-        if (checksums) {
-            std::uint64_t sum = fnv1a64(
-                arrays[a].data, arrays[a].elemSize * count);
-            if (sum != checksums[a]) {
-                report.status = LoadStatus::ChecksumMismatch;
-                report.offset = offset;
-                return;
-            }
+        const std::uint64_t sum =
+            fnv1a64(arrays[a].data, arrays[a].elemSize * count);
+        if (sum != checksums[a]) {
+            report.status = LoadStatus::ChecksumMismatch;
+            report.offset = offset;
+            return;
         }
         offset += arrays[a].elemSize * count;
     }
     out.adopt(std::move(pcs), std::move(addrs), std::move(metas));
     report.status = LoadStatus::Ok;
-}
-
-void
-loadV1(Trace &out, std::FILE *f, std::uint64_t count,
-       LoadReport &report)
-{
-    std::uint64_t max_records = 0;
-    if (!payloadRecords(f, kHeaderBytes, sizeof(PackedRecord),
-                        max_records)
-        || count > max_records) {
-        report.status = LoadStatus::Truncated;
-        return;
-    }
-    out.reserve(count);
-    // Bulk-read in chunks: the dominant cost of the old loader was
-    // one fread call per record.
-    constexpr std::size_t kChunk = 4096;
-    std::vector<PackedRecord> buf(
-        std::min<std::uint64_t>(count, kChunk));
-    std::uint64_t done = 0;
-    while (done < count) {
-        std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(count - done, kChunk));
-        if (injectedFread(buf.data(), sizeof(PackedRecord), want, f)
-            != want) {
-            report.status = LoadStatus::ReadFail;
-            report.offset = static_cast<std::uint64_t>(kHeaderBytes)
-                + done * sizeof(PackedRecord);
-            return;
-        }
-        for (std::size_t i = 0; i < want; ++i) {
-            const PackedRecord &p = buf[i];
-            out.append(p.pc, p.addr, p.instGap, p.flags & 1,
-                       p.flags & 2);
-        }
-        done += want;
-    }
-    report.status = LoadStatus::Ok;
-}
-
-bool
-saveSoa(const Trace &t, const std::string &path,
-        std::uint32_t version)
-{
-    FilePtr f(std::fopen(path.c_str(), "wb"));
-    if (!f)
-        return false;
-    const std::uint64_t count = t.size();
-    if (!writeHeader(f.get(), version, count))
-        return false;
-    if (version >= kTraceFormatV3) {
-        const std::uint64_t checksums[3] = {
-            fnv1a64(t.pcData(), sizeof(PC) * count),
-            fnv1a64(t.addrData(), sizeof(Addr) * count),
-            fnv1a64(t.metaData(), sizeof(std::uint32_t) * count),
-        };
-        if (injectedFwrite(checksums, sizeof(std::uint64_t), 3,
-                           f.get())
-            != 3)
-            return false;
-    }
-    if (count == 0)
-        return true;
-    if (injectedFwrite(t.pcData(), sizeof(PC), count, f.get())
-        != count)
-        return false;
-    if (injectedFwrite(t.addrData(), sizeof(Addr), count, f.get())
-        != count)
-        return false;
-    if (injectedFwrite(t.metaData(), sizeof(std::uint32_t), count,
-                       f.get())
-        != count)
-        return false;
-    return true;
 }
 
 } // anonymous namespace
@@ -265,40 +173,28 @@ loadStatusName(LoadStatus status)
 bool
 saveBinary(const Trace &t, const std::string &path)
 {
-    return saveSoa(t, path, kTraceFormatV3);
-}
-
-bool
-saveBinaryV2(const Trace &t, const std::string &path)
-{
-    return saveSoa(t, path, kTraceFormatV2);
-}
-
-bool
-saveBinaryV1(const Trace &t, const std::string &path)
-{
     FilePtr f(std::fopen(path.c_str(), "wb"));
     if (!f)
         return false;
     const std::uint64_t count = t.size();
-    if (!writeHeader(f.get(), kTraceFormatV1, count))
+    const std::uint64_t checksums[3] = {
+        fnv1a64(t.pcData(), sizeof(PC) * count),
+        fnv1a64(t.addrData(), sizeof(Addr) * count),
+        fnv1a64(t.metaData(), sizeof(std::uint32_t) * count),
+    };
+    if (!writeHeader(f.get(), count)
+        || injectedFwrite(checksums, sizeof(std::uint64_t), 3, f.get())
+            != 3)
         return false;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const TraceRecord rec = t[i];
-        // memset covers the tail padding sizeof leaves after `pad`:
-        // brace-init zeroes members but not padding bytes, which
-        // would leak uninitialized stack bytes into the file.
-        PackedRecord p;
-        std::memset(&p, 0, sizeof(p));
-        p.pc = rec.pc;
-        p.addr = rec.addr;
-        p.instGap = rec.instGap;
-        p.flags = static_cast<std::uint8_t>(
-            (rec.dependsOnPrev ? 1 : 0) | (rec.isWrite ? 2 : 0));
-        if (injectedFwrite(&p, sizeof(p), 1, f.get()) != 1)
-            return false;
-    }
-    return true;
+    if (count == 0)
+        return true;
+    return injectedFwrite(t.pcData(), sizeof(PC), count, f.get())
+            == count
+        && injectedFwrite(t.addrData(), sizeof(Addr), count, f.get())
+            == count
+        && injectedFwrite(t.metaData(), sizeof(std::uint32_t), count,
+                          f.get())
+            == count;
 }
 
 bool
@@ -326,25 +222,16 @@ loadBinary(Trace &out, const std::string &path, LoadReport &report)
         report.offset = 0;
         return false;
     }
-    report.version = version;
-
-    if (version == kTraceFormatV3) {
-        std::uint64_t checksums[3];
-        if (std::fread(checksums, sizeof(std::uint64_t), 3, f.get())
-            != 3) {
-            report.status = LoadStatus::BadHeader;
-            report.offset = static_cast<std::uint64_t>(kHeaderBytes);
-        } else {
-            loadSoa(out, f.get(), count, kV3HeaderBytes, checksums,
-                    report);
-        }
-    } else if (version == kTraceFormatV2) {
-        loadSoa(out, f.get(), count, kHeaderBytes, nullptr, report);
-    } else if (version == kTraceFormatV1) {
-        loadV1(out, f.get(), count, report);
-    } else {
+    std::uint64_t checksums[3];
+    if (version != kTraceFormatV3) {
         report.status = LoadStatus::BadHeader;
         report.offset = 4; // the version field
+    } else if (std::fread(checksums, sizeof(std::uint64_t), 3, f.get())
+               != 3) {
+        report.status = LoadStatus::BadHeader;
+        report.offset = static_cast<std::uint64_t>(kPreambleBytes);
+    } else {
+        loadPayload(out, f.get(), count, checksums, report);
     }
     if (!report.ok()) {
         out = Trace{};
@@ -354,15 +241,10 @@ loadBinary(Trace &out, const std::string &path, LoadReport &report)
 }
 
 bool
-loadBinary(Trace &out, const std::string &path,
-           std::uint32_t *version_out)
+loadBinary(Trace &out, const std::string &path)
 {
     LoadReport report;
-    if (!loadBinary(out, path, report))
-        return false;
-    if (version_out)
-        *version_out = report.version;
-    return true;
+    return loadBinary(out, path, report);
 }
 
 bool

@@ -11,10 +11,9 @@
  * three bulk fwrite calls instead of one per record. Loads read the
  * arrays back the same way and verify every checksum, so a
  * bit-flipped or torn entry is detected deterministically instead of
- * only when the header happens to be implausible. v2 (same layout,
- * no checksums) and v1 (packed array-of-structs records) files
- * remain loadable; loadBinary reports which version it read so the
- * trace cache can transparently repair old entries.
+ * only when the header happens to be implausible. A file with any
+ * other version fails the header check: traces are regenerable, so
+ * older formats are simply not read.
  *
  * | v3 layout | bytes        | content                              |
  * |-----------|--------------|--------------------------------------|
@@ -43,9 +42,7 @@
 namespace prophet::trace
 {
 
-/** Binary-format versions loadBinary understands. */
-constexpr std::uint32_t kTraceFormatV1 = 1;
-constexpr std::uint32_t kTraceFormatV2 = 2;
+/** The binary-format version saveBinary writes and loadBinary reads. */
 constexpr std::uint32_t kTraceFormatV3 = 3;
 
 /** Why a binary load failed (or that it didn't). */
@@ -53,7 +50,7 @@ enum class LoadStatus
 {
     Ok = 0,
     OpenFail,         ///< file missing or unreadable — not corruption
-    BadHeader,        ///< magic/version/count implausible
+    BadHeader,        ///< magic/version/count implausible or not v3
     Truncated,        ///< payload shorter than the header promises
     ReadFail,         ///< a read failed mid-payload (I/O error)
     ChecksumMismatch, ///< v3 array checksum did not verify
@@ -66,7 +63,6 @@ const char *loadStatusName(LoadStatus status);
 struct LoadReport
 {
     LoadStatus status = LoadStatus::OpenFail;
-    std::uint32_t version = 0; ///< format version (0 = unknown)
     /** Byte offset of the failing structure (kNoOffset = n/a). */
     std::uint64_t offset = ~std::uint64_t{0};
 
@@ -86,34 +82,16 @@ struct LoadReport
 };
 
 /**
- * Write a trace in the current (v3, checksummed) binary format.
- * Returns false on I/O failure.
+ * Write a trace in the v3 (checksummed) binary format. Returns false
+ * on I/O failure.
  */
 bool saveBinary(const Trace &t, const std::string &path);
 
 /**
- * Write a trace in the legacy v2 format (bulk SoA arrays, no
- * checksums). Kept so backward-compatibility tests can fabricate
- * old cache entries.
+ * Read a binary trace written by saveBinary. Returns an empty trace
+ * and false on failure or format mismatch.
  */
-bool saveBinaryV2(const Trace &t, const std::string &path);
-
-/**
- * Write a trace in the legacy v1 format (packed 24-byte records).
- * Kept so backward-compatibility tests can fabricate old files; the
- * struct's tail padding is explicitly zeroed, so output is
- * deterministic byte-for-byte.
- */
-bool saveBinaryV1(const Trace &t, const std::string &path);
-
-/**
- * Read a binary trace written by any of the savers above. Returns
- * an empty trace and false on failure or format mismatch. When
- * @p version_out is non-null and the load succeeds, it receives the
- * format version the file used.
- */
-bool loadBinary(Trace &out, const std::string &path,
-                std::uint32_t *version_out = nullptr);
+bool loadBinary(Trace &out, const std::string &path);
 
 /**
  * As loadBinary, but reports *why* a load failed: the trace cache

@@ -154,7 +154,6 @@ TEST_P(Golden, SinksMatchExpectedFiles)
         opts.records = kFastRecords;
     opts.traceCache = 0;
     opts.suppressSpecSinks = true;
-    opts.retryBackoffMs = 0;
 
     // Capture exactly the sinks the spec would have written (the
     // default table when it names none), one expected file per kind.

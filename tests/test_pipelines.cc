@@ -347,14 +347,12 @@ expectIdenticalStats(const RunStats &a, const RunStats &b,
 }
 
 /**
- * The tentpole invariant of the lookahead-prefetched run() loop:
- * software prefetching is architecturally invisible, so driving a
- * system record by record through the scalar step() API must produce
- * results bit-identical to the blocked/prefetched whole-trace run()
- * — for every pipeline's system configuration, on the smoke
- * workloads.
+ * run() walks the trace's SoA arrays directly instead of
+ * materializing records, so it must stay bit-identical to driving the
+ * system record by record through the scalar step() API — for every
+ * pipeline's system configuration, on the smoke workloads.
  */
-TEST(SystemRunLookahead, BitIdenticalToScalarStepLoop)
+TEST(SystemRunLoop, BitIdenticalToScalarStepLoop)
 {
     const std::pair<L2PfKind, const char *> kinds[] = {
         {L2PfKind::None, "none"},

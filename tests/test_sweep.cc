@@ -1,15 +1,16 @@
 /**
  * @file
- * Tests for the parallel sweep engine and thread pool: parallel
- * execution must produce results bit-identical to serial execution,
- * field by field, because every job is an independent deterministic
- * System over a shared immutable trace and merging is by job index.
+ * Tests for the parallel sweep engine and thread pool: fan-out
+ * coverage, failure capture and propagation, and fail-fast
+ * cancellation. That sweeps are bit-identical across thread counts is
+ * checked end to end through the driver (test_driver.cc).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/sweep.hh"
@@ -19,42 +20,6 @@ namespace prophet::sim
 {
 namespace
 {
-
-/** Short traces keep the sweep tests fast; determinism is per-run. */
-constexpr std::size_t kRecords = 60'000;
-
-void
-expectStatsEq(const RunStats &a, const RunStats &b)
-{
-    EXPECT_EQ(a.ipc, b.ipc); // bit-identical, not just approximate
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.records, b.records);
-    EXPECT_EQ(a.l1Misses, b.l1Misses);
-    EXPECT_EQ(a.l2DemandAccesses, b.l2DemandAccesses);
-    EXPECT_EQ(a.l2DemandMisses, b.l2DemandMisses);
-    EXPECT_EQ(a.llcMisses, b.llcMisses);
-    EXPECT_EQ(a.l2PrefetchesIssued, b.l2PrefetchesIssued);
-    EXPECT_EQ(a.l2PrefetchesUseful, b.l2PrefetchesUseful);
-    EXPECT_EQ(a.latePrefetches, b.latePrefetches);
-    EXPECT_EQ(a.dramReads, b.dramReads);
-    EXPECT_EQ(a.dramWrites, b.dramWrites);
-    EXPECT_EQ(a.dramPrefetchReads, b.dramPrefetchReads);
-    EXPECT_EQ(a.markov.lookups, b.markov.lookups);
-    EXPECT_EQ(a.markov.hits, b.markov.hits);
-    EXPECT_EQ(a.markov.inserts, b.markov.inserts);
-    EXPECT_EQ(a.markov.updates, b.markov.updates);
-    EXPECT_EQ(a.markov.replacements, b.markov.replacements);
-    EXPECT_EQ(a.markov.resizeDrops, b.markov.resizeDrops);
-    EXPECT_EQ(a.finalMetadataWays, b.finalMetadataWays);
-    EXPECT_EQ(a.offchipMeta.metadataReads, b.offchipMeta.metadataReads);
-    EXPECT_EQ(a.offchipMeta.metadataWrites,
-              b.offchipMeta.metadataWrites);
-    EXPECT_EQ(a.l1Accesses, b.l1Accesses);
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses);
-    EXPECT_EQ(a.llcAccesses, b.llcAccesses);
-    EXPECT_EQ(a.pcMisses, b.pcMisses);
-}
 
 TEST(ThreadPool, RunsEverySubmittedJob)
 {
@@ -81,94 +46,35 @@ TEST(ThreadPool, ResolveThreadsDefaultsToHardware)
 
 TEST(Sweep, ForEachCoversAllIndicesOnce)
 {
-    Runner r(SystemConfig::table1(), kRecords);
-    SweepEngine engine(r, 4);
+    SweepEngine engine(4);
     std::vector<std::atomic<int>> hits(64);
     engine.forEach(64, [&](std::size_t i) { ++hits[i]; });
     for (const auto &h : hits)
         EXPECT_EQ(h.load(), 1);
 }
 
-TEST(Sweep, ForEachPropagatesJobException)
+TEST(Sweep, ForEachRethrowsTheLowestIndexFailure)
 {
-    Runner r(SystemConfig::table1(), kRecords);
-    SweepEngine engine(r, 4);
-    EXPECT_THROW(engine.forEach(8,
-                                [](std::size_t i) {
-                                    if (i == 5)
-                                        throw std::runtime_error("boom");
-                                }),
-                 std::runtime_error);
-}
-
-TEST(Sweep, ParallelConfigSweepMatchesSerial)
-{
-    std::vector<SweepJob> jobs;
-    for (const char *w : {"sphinx3", "gcc_166"}) {
-        for (L2PfKind kind : {L2PfKind::None, L2PfKind::Triangel,
-                              L2PfKind::Triage}) {
-            SweepJob j;
-            j.workload = w;
-            j.cfg = SystemConfig::table1();
-            j.cfg.l2Pf = kind;
-            jobs.push_back(std::move(j));
-        }
+    // Every index runs; of several failures, the lowest index's
+    // exception is the one rethrown, whatever the completion order.
+    SweepEngine engine(4);
+    std::atomic<int> ran{0};
+    try {
+        engine.forEach(8, [&](std::size_t i) {
+            ++ran;
+            if (i == 2 || i == 5)
+                throw std::runtime_error("boom " + std::to_string(i));
+        });
+        FAIL() << "forEach swallowed the job exceptions";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "boom 2");
     }
-
-    Runner serialRunner(SystemConfig::table1(), kRecords);
-    SweepEngine serial(serialRunner, 1);
-    EXPECT_EQ(serial.threads(), 1u);
-    auto a = serial.runConfigs(jobs);
-
-    Runner parallelRunner(SystemConfig::table1(), kRecords);
-    SweepEngine parallel(parallelRunner, 4);
-    EXPECT_EQ(parallel.threads(), 4u);
-    auto b = parallel.runConfigs(jobs);
-
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i)
-        expectStatsEq(a[i], b[i]);
-}
-
-TEST(Sweep, ParallelTrioMatchesSerialFieldByField)
-{
-    // The acceptance bar for the sweep engine: the full trio
-    // pipeline — RPG2 identify/tune (its ~7 binary-search runs),
-    // Triangel, and Prophet profile/analyze/run — over a small
-    // workload set, serially and with 4 threads, must agree on every
-    // statistic bit for bit.
-    std::vector<std::string> workloads{"sphinx3", "sssp_100000_5"};
-
-    Runner serialRunner(SystemConfig::table1(), kRecords);
-    SweepEngine serial(serialRunner, 1);
-    auto a = serial.runTrios(workloads);
-
-    Runner parallelRunner(SystemConfig::table1(), kRecords);
-    SweepEngine parallel(parallelRunner, 4);
-    auto b = parallel.runTrios(workloads);
-
-    ASSERT_EQ(a.size(), b.size());
-    for (const auto &w : workloads) {
-        SCOPED_TRACE(w);
-        const TrioOutcome &x = a.at(w);
-        const TrioOutcome &y = b.at(w);
-        expectStatsEq(x.rpg2.stats, y.rpg2.stats);
-        EXPECT_EQ(x.rpg2.tunedDistance, y.rpg2.tunedDistance);
-        EXPECT_EQ(x.rpg2.kernels.size(), y.rpg2.kernels.size());
-        expectStatsEq(x.triangel, y.triangel);
-        expectStatsEq(x.prophet.stats, y.prophet.stats);
-        EXPECT_EQ(x.prophet.binary.hints.size(),
-                  y.prophet.binary.hints.size());
-        // Baselines cached by racing workers must also agree.
-        expectStatsEq(serialRunner.baseline(w),
-                      parallelRunner.baseline(w));
-    }
+    EXPECT_EQ(ran.load(), 8);
 }
 
 TEST(SweepEngine, TryForEachKeepGoingIsolatesTheFailingJob)
 {
-    Runner runner(SystemConfig::table1(), kRecords);
-    SweepEngine engine(runner, 4);
+    SweepEngine engine(4);
     std::atomic<int> ran{0};
     auto failures = engine.tryForEach(
         8,
@@ -199,8 +105,7 @@ TEST(SweepEngine, TryForEachFailFastSkipsTheRestAndFiresTheToken)
 {
     // Serial engine: job order is deterministic, so the failure at
     // index 1 must leave 0 complete and 2..3 skipped-not-run.
-    Runner runner(SystemConfig::table1(), kRecords);
-    SweepEngine engine(runner, 1);
+    SweepEngine engine(1);
     CancellationToken token;
     std::atomic<int> ran{0};
     auto failures = engine.tryForEach(

@@ -162,61 +162,57 @@ TEST_F(TraceCacheTest, StoresWriteTheV3ChecksummedFormat)
     TraceCache cache(dir);
     ASSERT_TRUE(cache.store("mcf", kRecords, fresh));
 
-    std::uint32_t version = 0;
     Trace loaded;
-    ASSERT_TRUE(loadBinary(loaded, cache.path("mcf", kRecords),
-                           &version));
-    EXPECT_EQ(version, kTraceFormatV3);
+    ASSERT_TRUE(loadBinary(loaded, cache.path("mcf", kRecords)));
     expectTraceEq(fresh, loaded);
-    auto entries = cache.entries();
-    ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(entries[0].version, kTraceFormatV3);
+    std::ifstream in(cache.path("mcf", kRecords), std::ios::binary);
+    char magic[4] = {};
+    std::uint32_t version = 0;
+    in.read(magic, sizeof(magic));
+    in.read(reinterpret_cast<char *>(&version), sizeof(version));
+    EXPECT_EQ(std::string(magic, sizeof(magic)), "PTRC");
+    EXPECT_EQ(version, kTraceFormatV3);
 }
 
-TEST_F(TraceCacheTest, V1EntryLoadsAndIsUpgradedInPlace)
+TEST_F(TraceCacheTest, OtherVersionEntryIsAMissAndIsRegenerated)
 {
+    // Only v3 is read. An entry whose header names another version —
+    // here 2, a retired format — fails the header check like any
+    // damaged entry: it is quarantined, the load misses, and the
+    // Runner regenerates the trace with unchanged results.
+    sim::Runner plain(sim::SystemConfig::table1(), kRecords);
+    const sim::RunStats ref = plain.run("triangel", "mcf");
+
+    auto cache = std::make_shared<TraceCache>(dir);
     Trace fresh =
         workloads::makeWorkload("mcf", kRecords)->generate();
-    TraceCache cache(dir);
-    // Fabricate a legacy cache directory: one v1 entry under the
-    // current key.
-    fs::create_directories(dir);
-    ASSERT_TRUE(saveBinaryV1(fresh, cache.path("mcf", kRecords)));
-    ASSERT_EQ(cache.entries().at(0).version, kTraceFormatV1);
+    ASSERT_TRUE(cache->store("mcf", kRecords, fresh));
+    const std::string path = cache->path("mcf", kRecords);
+    {
+        std::fstream f(path, std::ios::binary | std::ios::in
+                                 | std::ios::out);
+        const std::uint32_t v2 = 2;
+        f.seekp(4); // the version field, after the magic
+        f.write(reinterpret_cast<const char *>(&v2), sizeof(v2));
+    }
 
-    // The v1 fallback serves the hit...
-    Trace out;
-    ASSERT_TRUE(cache.load("mcf", kRecords, out));
-    expectTraceEq(fresh, out);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().upgrades, 1u);
-    // A repair rewrite is not a caller-visible store.
-    EXPECT_EQ(cache.stats().stores, 0u);
+    sim::Runner r(sim::SystemConfig::table1(), kRecords);
+    r.setTraceCache(cache);
+    const sim::RunStats s = r.run("triangel", "mcf");
+    EXPECT_EQ(s.ipc, ref.ipc);
+    EXPECT_EQ(s.cycles, ref.cycles);
+    EXPECT_EQ(s.l2DemandMisses, ref.l2DemandMisses);
+    EXPECT_EQ(cache->stats().hits, 0u);
+    EXPECT_EQ(cache->stats().misses, 1u);
+    EXPECT_EQ(cache->stats().quarantines, 1u);
+    EXPECT_EQ(cache->stats().checksumFailures, 0u);
+    EXPECT_EQ(cache->stats().stores, 2u); // the seed + regeneration
+    EXPECT_EQ(cache->quarantined().size(), 1u);
 
-    // ...and repairs the entry to the current checksummed format,
-    // byte-compatible with a fresh store.
-    ASSERT_EQ(cache.entries().at(0).version, kTraceFormatV3);
+    // The regenerated entry is v3 again and serves hits.
     Trace again;
-    ASSERT_TRUE(cache.load("mcf", kRecords, again));
+    ASSERT_TRUE(cache->load("mcf", kRecords, again));
     expectTraceEq(fresh, again);
-    EXPECT_EQ(cache.stats().upgrades, 1u);
-}
-
-TEST_F(TraceCacheTest, V2EntryLoadsAndIsUpgradedInPlace)
-{
-    Trace fresh =
-        workloads::makeWorkload("mcf", kRecords)->generate();
-    TraceCache cache(dir);
-    fs::create_directories(dir);
-    ASSERT_TRUE(saveBinaryV2(fresh, cache.path("mcf", kRecords)));
-    ASSERT_EQ(cache.entries().at(0).version, kTraceFormatV2);
-
-    Trace out;
-    ASSERT_TRUE(cache.load("mcf", kRecords, out));
-    expectTraceEq(fresh, out);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().upgrades, 1u);
-    ASSERT_EQ(cache.entries().at(0).version, kTraceFormatV3);
 }
 
 TEST_F(TraceCacheTest, BitFlippedEntryIsQuarantinedThenRegenerated)
@@ -323,7 +319,7 @@ TEST_F(TraceCacheTest, PersistentCountersAccumulateAcrossInstances)
     EXPECT_EQ(cache.persistentCounters().storeFailures, 1u);
 }
 
-TEST_F(TraceCacheTest, TruncatedV2EntryFallsBackAndRepairs)
+TEST_F(TraceCacheTest, TruncatedPayloadFallsBackAndRepairs)
 {
     Trace fresh =
         workloads::makeWorkload("mcf", kRecords)->generate();

@@ -48,7 +48,6 @@
 #include "serve/client.hh"
 #include "serve/server.hh"
 #include "sim/pipelines.hh"
-#include "trace/trace_io.hh"
 #include "sim/sweep.hh"
 #include "workloads/registry.hh"
 
@@ -613,7 +612,7 @@ cmdTraceCacheWarm(const Flags &flags)
     for (const auto &[records, names] : groups) {
         sim::Runner runner(sim::SystemConfig::table1(), records);
         runner.setTraceCache(cache);
-        sim::SweepEngine engine(runner, threads);
+        sim::SweepEngine engine(threads);
         engine.forEach(names.size(), [&](std::size_t i) {
             runner.traceFor(names[i]);
         });
@@ -644,29 +643,16 @@ cmdTraceCacheStats(const Flags &flags)
     trace::TraceCache cache(flags.opts.traceCacheDir);
     auto entries = cache.entries();
     std::uint64_t total = 0;
-    std::map<std::uint32_t, std::size_t> by_version;
     for (const auto &e : entries) {
-        std::printf("  %10llu  v%u  %s\n",
+        std::printf("  %10llu  %s\n",
                     static_cast<unsigned long long>(e.bytes),
-                    e.version, e.file.c_str());
+                    e.file.c_str());
         total += e.bytes;
-        ++by_version[e.version];
     }
     std::printf("%zu cached trace(s), %llu bytes in %s\n",
                 entries.size(),
                 static_cast<unsigned long long>(total),
                 cache.dir().c_str());
-    for (const auto &[version, count] : by_version) {
-        if (version == 0)
-            std::printf("  format unreadable: %zu entr%s\n", count,
-                        count == 1 ? "y" : "ies");
-        else
-            std::printf("  format v%u: %zu entr%s%s\n", version,
-                        count, count == 1 ? "y" : "ies",
-                        version < trace::kTraceFormatV3
-                            ? " (legacy; upgraded on next load)"
-                            : "");
-    }
 
     // Quarantined entries and the durable health counters
     // (accumulated across every process that used this directory).

@@ -67,33 +67,37 @@ recordFailure(JobResult &slot, const sim::SweepEngine::JobFailure &f,
 }
 
 /**
- * Watchdog over in-flight job attempts. One monitor thread polls a
- * registry of active attempts and fires an attempt's private
- * CancellationToken when (a) the attempt outlives the per-job
- * deadline — counted under "watchdog.fires" and surfaced to the
- * retry loop as a transient JobTimeout — or (b) the run's global
- * token fires (graceful shutdown / fail-fast), which must reach
- * Systems that are polling their private token instead of the
- * global one.
- *
- * Created only when a deadline or an external shutdown token is in
- * play: without it, jobs poll the runner-wide token exactly as
- * before, so the default path is untouched.
+ * One job attempt's private cancellation token, chained to its run's
+ * token: shutdown, fail-fast, a serve client's disconnect and a
+ * drain all fire the run's token, and the attempt's Systems see it
+ * at their next poll. Only the watchdog fires the private token
+ * itself, for a deadline. Each retry gets a fresh Attempt: tokens
+ * cannot un-cancel, so a timed-out attempt must not poison the retry.
+ */
+struct Attempt
+{
+    Attempt(const CancellationToken &run, std::string key)
+        : token(&run), jobKey(std::move(key))
+    {
+    }
+
+    CancellationToken token;
+    std::string jobKey;
+    std::chrono::steady_clock::time_point deadline{};
+    std::atomic<bool> timedOut{false};
+};
+
+/**
+ * Per-job deadline enforcement: one monitor thread polls the
+ * registered attempts and fires the private token of any that
+ * outlives the deadline — counted under "watchdog.fires" and
+ * surfaced to the retry loop as a transient JobTimeout. Created only
+ * when a deadline is set.
  */
 class JobWatchdog
 {
   public:
-    struct Watch
-    {
-        CancellationToken token; ///< this attempt's private token
-        std::string jobKey;
-        std::chrono::steady_clock::time_point deadline{};
-        bool hasDeadline = false;
-        std::atomic<bool> timedOut{false};
-    };
-
-    JobWatchdog(double deadline_s, const CancellationToken *global)
-        : deadlineS(deadline_s), globalToken(global)
+    explicit JobWatchdog(double deadline_s) : deadlineS(deadline_s)
     {
         worker = std::thread([this] { loop(); });
     }
@@ -113,38 +117,22 @@ class JobWatchdog
 
     double deadlineSeconds() const { return deadlineS; }
 
-    /**
-     * Register one attempt. Each retry gets a fresh Watch: tokens
-     * cannot un-cancel, so a timed-out attempt's token must not
-     * poison the retry.
-     */
-    std::shared_ptr<Watch>
-    beginAttempt(const std::string &job_key)
+    void
+    beginAttempt(Attempt &a)
     {
-        auto w = std::make_shared<Watch>();
-        w->jobKey = job_key;
-        if (deadlineS > 0.0) {
-            w->deadline = std::chrono::steady_clock::now()
-                + std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(deadlineS));
-            w->hasDeadline = true;
-        }
-        // An attempt started after shutdown fired is born cancelled
-        // — the monitor's next poll would catch it, but this closes
-        // the window.
-        if (globalToken && globalToken->cancelled())
-            w->token.cancel();
+        a.deadline = std::chrono::steady_clock::now()
+            + std::chrono::duration_cast<
+                  std::chrono::steady_clock::duration>(
+                  std::chrono::duration<double>(deadlineS));
         std::lock_guard<std::mutex> lock(mu);
-        active.push_back(w);
-        return w;
+        active.push_back(&a);
     }
 
     void
-    endAttempt(const std::shared_ptr<Watch> &w)
+    endAttempt(Attempt &a)
     {
         std::lock_guard<std::mutex> lock(mu);
-        active.erase(std::remove(active.begin(), active.end(), w),
+        active.erase(std::remove(active.begin(), active.end(), &a),
                      active.end());
     }
 
@@ -154,33 +142,25 @@ class JobWatchdog
     {
         // Poll at a quarter of the deadline (clamped to [1, 100] ms)
         // so the overshoot past a deadline is bounded without
-        // burning a core; 100 ms when only shutdown propagation is
-        // needed.
-        auto interval = std::chrono::milliseconds(100);
-        if (deadlineS > 0.0)
-            interval = std::chrono::milliseconds(std::min(
-                100L,
-                std::max(1L, static_cast<long>(deadlineS * 250.0))));
+        // burning a core.
+        const auto interval = std::chrono::milliseconds(std::min(
+            100L, std::max(1L, static_cast<long>(deadlineS * 250.0))));
         std::unique_lock<std::mutex> lock(mu);
         while (!wake.wait_for(lock, interval,
                               [this] { return stopping; })) {
-            bool shutdown_fired =
-                globalToken && globalToken->cancelled();
             auto now = std::chrono::steady_clock::now();
             std::vector<std::string> expired;
-            for (const auto &w : active) {
-                if (shutdown_fired) {
-                    w->token.cancel();
+            for (Attempt *a : active) {
+                // An attempt its run already cancelled is not timed
+                // out: it unwinds as Cancelled.
+                if (now < a->deadline
+                    || a->timedOut.load(std::memory_order_relaxed)
+                    || a->token.cancelled())
                     continue;
-                }
-                if (w->hasDeadline && now >= w->deadline
-                    && !w->timedOut.load(std::memory_order_relaxed)) {
-                    w->timedOut.store(true,
-                                      std::memory_order_relaxed);
-                    w->token.cancel();
-                    metrics::counter("watchdog.fires").inc();
-                    expired.push_back(w->jobKey);
-                }
+                a->timedOut.store(true, std::memory_order_relaxed);
+                a->token.cancel();
+                metrics::counter("watchdog.fires").inc();
+                expired.push_back(a->jobKey);
             }
             // Log outside the registry lock: begin/endAttempt on
             // worker threads must never wait on stderr.
@@ -194,31 +174,30 @@ class JobWatchdog
     }
 
     double deadlineS;
-    const CancellationToken *globalToken;
 
     std::mutex mu;
     std::condition_variable wake;
     bool stopping = false;
-    std::vector<std::shared_ptr<Watch>> active;
+    std::vector<Attempt *> active;
     std::thread worker;
 };
 
 /**
- * RAII scope of one supervised attempt: registers a Watch and routes
- * every System the calling thread builds to the attempt's private
- * token (Runner's thread-local override). No-op without a watchdog —
- * jobs then poll the runner-wide token, the pre-watchdog behaviour.
+ * RAII scope of one attempt: routes every System the calling thread
+ * builds to the attempt's private token (Runner's thread-local
+ * override) and, when a watchdog is running, puts the attempt under
+ * its deadline.
  */
 class AttemptScope
 {
   public:
-    AttemptScope(JobWatchdog *watchdog, const std::string &job_key)
-        : wd(watchdog)
+    AttemptScope(const CancellationToken &run, JobWatchdog *watchdog,
+                 std::string job_key)
+        : attempt(run, std::move(job_key)), wd(watchdog)
     {
-        if (!wd)
-            return;
-        watch = wd->beginAttempt(job_key);
-        sim::Runner::setThreadJobCancellation(&watch->token);
+        if (wd)
+            wd->beginAttempt(attempt);
+        sim::Runner::setThreadJobCancellation(&attempt.token);
     }
 
     AttemptScope(const AttemptScope &) = delete;
@@ -226,22 +205,20 @@ class AttemptScope
 
     ~AttemptScope()
     {
-        if (!watch)
-            return;
         sim::Runner::setThreadJobCancellation(nullptr);
-        wd->endAttempt(watch);
+        if (wd)
+            wd->endAttempt(attempt);
     }
 
     bool
     timedOut() const
     {
-        return watch
-            && watch->timedOut.load(std::memory_order_relaxed);
+        return attempt.timedOut.load(std::memory_order_relaxed);
     }
 
   private:
+    Attempt attempt;
     JobWatchdog *wd;
-    std::shared_ptr<JobWatchdog::Watch> watch;
 };
 
 /**
@@ -267,7 +244,7 @@ runJobWithRetry(sim::Runner &runner,
     for (unsigned attempt = 1;; ++attempt) {
         slot.attempts = attempt;
         try {
-            AttemptScope scope(watchdog, job_key);
+            AttemptScope scope(token, watchdog, job_key);
             try {
                 ErrorContext ctx;
                 ctx.workload = slot.workload;
@@ -436,6 +413,23 @@ needsBaseline(const ExperimentSpec &spec)
     return false;
 }
 
+/** Every spec sink (one table when the spec names none), rendered. */
+std::vector<SinkOutput>
+renderOutputs(const ExperimentSpec &spec, const ExperimentReport &report)
+{
+    span::Span sink_span("sink-render", "phase");
+    metrics::ScopedTimer sink_timer(
+        metrics::histogram("phase.sink_render_ns"));
+    std::vector<SinkSpec> sinks = spec.sinks;
+    if (sinks.empty())
+        sinks.emplace_back();
+    std::vector<SinkOutput> outputs;
+    for (const SinkSpec &s : sinks)
+        outputs.push_back(
+            {s, renderSink(s, spec, report.meta, report.results)});
+    return outputs;
+}
+
 } // anonymous namespace
 
 double
@@ -462,12 +456,6 @@ ExperimentDriver::ExperimentDriver(ExperimentSpec spec_in,
                                    DriverOptions opts_in)
     : spec(std::move(spec_in)), opts(std::move(opts_in))
 {}
-
-void
-ExperimentDriver::addSink(std::unique_ptr<Sink> sink)
-{
-    extraSinks.push_back(std::move(sink));
-}
 
 unsigned
 ExperimentDriver::effectiveThreads() const
@@ -521,7 +509,7 @@ ExperimentDriver::run()
         ExperimentReport report;
         report.meta.specName = spec.name;
         report.meta.timestamp = iso8601UtcNow();
-        report.sinksOk = deliver(report);
+        report.outputs = renderOutputs(spec, report);
         return report;
     }
 
@@ -559,24 +547,16 @@ ExperimentDriver::run()
         ? sim::SweepEngine::FailurePolicy::KeepGoing
         : sim::SweepEngine::FailurePolicy::FailFast;
 
-    // Fail-fast cancellation: the first failure fires the token and
-    // every in-flight System unwinds within a bounded number of
-    // records. Attaching the token is bit-identical when it never
-    // fires, so the no-failure path is unchanged. When the caller
-    // supplied an external shutdown token (the CLI's signal handler
-    // fires it), fail-fast and shutdown share one token: either
-    // cause drains in-flight jobs the same way.
+    // The run's token: the first failure under fail-fast fires it,
+    // and so does the caller's shutdown (a signal, a daemon client's
+    // disconnect or drain) — the two share one token. Every job
+    // attempt, baseline warm-up and the metric pass polls a private
+    // token chained to it, so either cause reaches in-flight Systems
+    // at their next poll. Polling a token that never fires is
+    // bit-identical, so the no-failure path is unchanged.
     CancellationToken local_token;
     CancellationToken &token =
         opts.shutdown ? *opts.shutdown : local_token;
-    // An external (resident) runner is shared by concurrent runs, so
-    // the runner-wide token stays untouched — a per-run token wired
-    // there would dangle after this frame returns and clobber the
-    // other runs' cancellation. The watchdog (forced on by
-    // opts.shutdown below) routes both shutdown and fail-fast to its
-    // per-attempt thread-local tokens instead.
-    if (owned_runner)
-        runner.setCancellation(&token);
 
     const std::uint64_t result_hash =
         spec.resultHash(effectiveRecords());
@@ -639,15 +619,12 @@ ExperimentDriver::run()
                           journal->path().c_str());
     }
 
-    // Watchdog: only when a per-job deadline or an external shutdown
-    // token is in play. API users who set neither get exactly the
-    // old execution path (no monitor thread, no per-attempt tokens).
+    // Watchdog: a monitor thread only when a per-job deadline is set.
     const double deadline_s =
         opts.jobTimeoutS < 0.0 ? spec.deadlineS : opts.jobTimeoutS;
     std::unique_ptr<JobWatchdog> watchdog;
-    if (deadline_s > 0.0 || opts.shutdown)
-        watchdog =
-            std::make_unique<JobWatchdog>(deadline_s, &token);
+    if (deadline_s > 0.0)
+        watchdog = std::make_unique<JobWatchdog>(deadline_s);
 
     // Phase 1: baselines, one job per workload, when any metric or
     // pipeline normalizes to them (keeps the fan-out phase from
@@ -662,11 +639,10 @@ ExperimentDriver::run()
             [&](std::size_t i) {
                 const std::string &w = spec.workloads[i];
                 span::Span warm_span("baseline " + w, "job");
-                // Scope the warm-up under the watchdog too: on a
-                // shared resident runner this is the only cancellation
-                // route, and a deadline applies to baselines as much
-                // as to the jobs they feed.
-                AttemptScope scope(watchdog.get(), w + "/baseline");
+                // A deadline applies to baselines as much as to the
+                // jobs they feed.
+                AttemptScope scope(token, watchdog.get(),
+                                   w + "/baseline");
                 const sim::RunStats &stats = runner.baseline(w);
                 if (journal && !replayed_baselines.count(w)) {
                     JournalEntry e;
@@ -800,10 +776,12 @@ ExperimentDriver::run()
     // Metric derivation is sequential: baselines are cached by now
     // and the division is trivial. Still fault-isolated per job — a
     // metric that needs an uncomputable baseline fails that job, not
-    // the run.
+    // the run — and cancellable like any job, should it have to
+    // simulate that baseline.
     for (auto &r : report.results) {
         if (!r.ok)
             continue;
+        AttemptScope scope(token, nullptr, r.workload + "/metrics");
         try {
             for (const auto &m : spec.metrics)
                 r.metrics.emplace_back(
@@ -848,9 +826,9 @@ ExperimentDriver::run()
             + metrics::histogram("phase.simulate_ns").sum())
         / 1e9;
 
-    report.sinksOk = deliver(report);
+    report.outputs = renderOutputs(spec, report);
 
-    // Observability outputs last, so they cover the sink phase too.
+    // Observability outputs last, so they cover the sink render too.
     // A requested-but-unwritable file fails the run like any sink.
     experiment_span.reset();
     if (tracing) {
@@ -862,38 +840,6 @@ ExperimentDriver::run()
         && !writeMetricsReport(report, opts.metricsOut))
         report.sinksOk = false;
     return report;
-}
-
-bool
-ExperimentDriver::deliver(const ExperimentReport &report)
-{
-    // A suppressing caller (the serve daemon) replaced the spec's
-    // sinks with its own capturing ones via addSink, so only extras
-    // run — including the implicit default table.
-    std::vector<std::unique_ptr<Sink>> sinks;
-    if (opts.suppressSpecSinks) {
-        // nothing from the spec
-    } else if (spec.sinks.empty()) {
-        sinks.push_back(makeSink(SinkSpec{}));
-    } else {
-        for (const auto &s : spec.sinks)
-            sinks.push_back(makeSink(s));
-    }
-    for (auto &s : extraSinks)
-        sinks.push_back(std::move(s));
-    extraSinks.clear();
-
-    span::Span sink_span("sink-render", "phase");
-    metrics::ScopedTimer sink_timer(
-        metrics::histogram("phase.sink_render_ns"));
-    bool ok = true;
-    for (const auto &s : sinks) {
-        for (const auto &r : report.results)
-            s->result(r);
-        if (!s->finish(spec, report.meta))
-            ok = false;
-    }
-    return ok;
 }
 
 int

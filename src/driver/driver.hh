@@ -2,16 +2,18 @@
  * @file
  * The experiment driver: expands a declarative ExperimentSpec into
  * (workload x pipeline) SweepEngine jobs, runs them across the
- * thread pool, derives the requested metrics, and streams the
- * results — in spec order, so output is independent of scheduling —
- * to the spec's sinks. This is the layer the `prophet` CLI, the serve
- * daemon, and the end-to-end and golden tests drive.
+ * thread pool, derives the requested metrics, and renders the
+ * spec's sinks to bytes — in spec order, so output is independent of
+ * scheduling. The `prophet` CLI, the serve daemon, and the
+ * end-to-end and golden tests all take this one path; the caller
+ * decides where the rendered bytes go (driver/sink.hh
+ * writeSinkOutput, or a daemon response frame).
  */
 
 #ifndef PROPHET_DRIVER_DRIVER_HH
 #define PROPHET_DRIVER_DRIVER_HH
 
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "driver/sink.hh"
@@ -73,13 +75,13 @@ struct DriverOptions
     double jobTimeoutS = -1.0;
 
     /**
-     * External shutdown token (the CLI's SIGINT/SIGTERM handler
-     * fires it). When it fires mid-run: in-flight jobs are
-     * cancelled and drained, queued jobs never start, the journal
-     * and sinks flush what completed, and run() still returns its
-     * (partial) report. Null = no external shutdown. Non-const:
-     * the run's fail-fast policy shares the token, so a first
-     * failure may fire it too.
+     * External shutdown token (the CLI's SIGINT/SIGTERM handler,
+     * or a daemon request's disconnect and drain). When it fires
+     * mid-run: in-flight jobs unwind at their next poll, queued jobs
+     * never start, the journal keeps what completed, and run() still
+     * returns its (partial) report with rendered sinks. Null = no
+     * external shutdown. Non-const: the run's fail-fast policy
+     * shares the token, so a first failure may fire it too.
      */
     CancellationToken *shutdown = nullptr;
 
@@ -91,10 +93,9 @@ struct DriverOptions
      * trace-cache attachment, and base configuration (which must
      * match the spec's baseConfig()/records — the serve daemon keys
      * its runner pool on exactly those fields). The driver never
-     * calls setCancellation or setTraceCache on an external runner:
-     * per-job cancellation rides the watchdog's thread-local tokens,
-     * so concurrent requests sharing one Runner cannot clobber each
-     * other's tokens (or leave a dangling one behind).
+     * attaches a trace cache to it, and it needs no cancellation
+     * wiring: every job polls a thread-local token chained to its
+     * own run's token, whichever Runner it uses.
      */
     sim::Runner *runner = nullptr;
 
@@ -107,15 +108,6 @@ struct DriverOptions
      * `health` request reports cumulative daemon-lifetime values).
      */
     bool resetMetrics = true;
-
-    /**
-     * Ignore the spec's own sinks and deliver results only to
-     * addSink() sinks. The serve daemon substitutes capturing sinks
-     * (driver/sink.hh makeCapturingSink) so rendered output travels
-     * back in the response frame and the daemon never writes files
-     * in its own working directory on a client's behalf.
-     */
-    bool suppressSpecSinks = false;
 
     // ---- observability (all default-off: a run with none of these
     // set produces byte-identical outputs to a build without them) --
@@ -130,12 +122,23 @@ struct DriverOptions
     std::string traceOut;
 };
 
-/** Everything a run produced, for callers beyond the sinks. */
+/** Everything a run produced. */
 struct ExperimentReport
 {
     RunMeta meta;
     std::vector<JobResult> results; ///< workload-major spec order
-    bool sinksOk = true; ///< every sink wrote its output successfully
+
+    /**
+     * Every spec sink rendered, in spec order (one table when the
+     * spec names none). run() writes none of them.
+     */
+    std::vector<SinkOutput> outputs;
+
+    /**
+     * False when an output file failed to write: --metrics-out or
+     * --trace-out inside run(), or a sink the caller wrote.
+     */
+    bool sinksOk = true;
 
     /** Jobs that failed or were skipped by fail-fast. */
     std::size_t failedJobs = 0;
@@ -146,22 +149,16 @@ struct ExperimentReport
     /** The external shutdown token fired during the run. */
     bool interrupted = false;
 
-    /** True when every job completed and every sink wrote. */
+    /** True when every job completed and every output wrote. */
     bool ok() const { return failedJobs == 0 && sinksOk; }
 };
 
-/**
- * Runs one spec. Construct, optionally add extra sinks on top of the
- * spec's own, then run() once.
- */
+/** Runs one spec. Construct, then run() once. */
 class ExperimentDriver
 {
   public:
     explicit ExperimentDriver(ExperimentSpec spec,
                               DriverOptions opts = {});
-
-    /** A sink in addition to the spec's sinks (tests, CLI). */
-    void addSink(std::unique_ptr<Sink> sink);
 
     /** Thread count after overrides (as SweepEngine resolves it). */
     unsigned effectiveThreads() const;
@@ -176,23 +173,15 @@ class ExperimentDriver
     bool keepGoingEnabled() const;
 
     /**
-     * Expand, execute, and deliver to sinks. Results are
-     * deterministic for a given spec: identical across thread
-     * counts and trace-cache states.
+     * Expand, execute, and render the sinks into the report's
+     * outputs. Results are deterministic for a given spec: identical
+     * across thread counts and trace-cache states.
      */
     ExperimentReport run();
 
   private:
     ExperimentSpec spec;
     DriverOptions opts;
-    std::vector<std::unique_ptr<Sink>> extraSinks;
-
-    /**
-     * Feed @p report's results, in spec order, to the spec's sinks
-     * (unless suppressed) plus the extras, then finish each. False
-     * when any sink failed to write.
-     */
-    bool deliver(const ExperimentReport &report);
 };
 
 /** Compute one metric by name for a finished run. */

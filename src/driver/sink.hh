@@ -1,22 +1,26 @@
 /**
  * @file
- * Pluggable result sinks for the experiment driver. The driver feeds
- * every (workload x pipeline) result in deterministic spec order —
- * never completion order — then finishes with run metadata, so a
- * sink's output is bit-identical across thread counts.
+ * Result sinks for the experiment driver. A sink renders a finished
+ * run to bytes — every (workload x pipeline) result in deterministic
+ * spec order, never completion order, plus run metadata — so its
+ * output is bit-identical across thread counts and across callers
+ * (`prophet run`, the serve daemon, the golden tests).
  *
  *   table — the human-readable per-metric tables with a Geomean row,
  *           or a static-report spec's report;
  *   json  — one machine-readable document with full RunStats per
  *           job plus run metadata, for perf tracking;
  *   csv   — one row per job, for spreadsheets.
+ *
+ * Rendering and writing are separate steps: the driver renders,
+ * and whoever holds the bytes (the CLI, the serve client) writes
+ * them with writeSinkOutput.
  */
 
 #ifndef PROPHET_DRIVER_SINK_HH
 #define PROPHET_DRIVER_SINK_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,7 +31,7 @@
 namespace prophet::driver
 {
 
-/** Metadata about one driver run, written by every file sink. */
+/** Metadata about one driver run, rendered by every file sink. */
 struct RunMeta
 {
     std::string specName;
@@ -85,38 +89,30 @@ struct JobResult
     double seconds = 0.0;
 };
 
-/** A result consumer. result() calls arrive in spec order. */
-class Sink
+/** One rendered sink: what the spec asked for, and its bytes. */
+struct SinkOutput
 {
-  public:
-    virtual ~Sink() = default;
-
-    /** One job's result (workload-major, pipeline-minor order). */
-    virtual void result(const JobResult &r) = 0;
-
-    /**
-     * All results delivered; render/write output. Returns false on
-     * failure (e.g. an unwritable file) so the driver can surface a
-     * nonzero exit instead of silently dropping archived results.
-     */
-    virtual bool finish(const ExperimentSpec &spec,
-                        const RunMeta &meta) = 0;
+    SinkSpec sink;
+    std::string bytes;
 };
 
-/** Instantiate the sink a SinkSpec requests. */
-std::unique_ptr<Sink> makeSink(const SinkSpec &spec);
+/**
+ * Render @p sink for a finished run. Pure: it touches no file or
+ * stream, so every caller gets the same bytes. @p results are in
+ * spec order (workload-major, pipeline-minor).
+ */
+std::string renderSink(const SinkSpec &sink, const ExperimentSpec &spec,
+                       const RunMeta &meta,
+                       const std::vector<JobResult> &results);
 
 /**
- * The same sink, but rendering into @p out instead of stdout/its
- * file: finish() assigns the byte-identical text the plain sink
- * would have emitted, touches no file, and prints no "wrote ..."
- * note. The serve daemon uses this to ship a request's rendered
- * sinks back in the response frame — the client, not the daemon,
- * then writes them where the spec said. @p out must outlive the
- * sink's finish().
+ * Put rendered bytes where their sink belongs: a table to stdout, a
+ * json or csv sink to its path with a "<kind> sink: wrote PATH" note
+ * on stderr. Returns false, after a stderr note, when the file cannot
+ * be written, so the caller can exit nonzero instead of silently
+ * dropping archived results.
  */
-std::unique_ptr<Sink> makeCapturingSink(const SinkSpec &spec,
-                                        std::string *out);
+bool writeSinkOutput(const SinkOutput &out);
 
 /** Figure-style heading for a metric ("speedup" ->
  *  "Performance Speedup"). */

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/checksum.hh"
+#include "common/log.hh"
 #include "workloads/registry.hh"
 
 namespace prophet::driver
@@ -269,6 +271,14 @@ pipelinesToJson(const std::vector<sim::PipelineInstance> &pipelines,
     return arr;
 }
 
+/** Every sink kind with its one spelling, in the spec, the serve
+ *  daemon's result frames and the client alike. */
+constexpr std::pair<SinkSpec::Kind, const char *> kSinkKinds[] = {
+    {SinkSpec::Kind::Table, "table"},
+    {SinkSpec::Kind::JsonFile, "json"},
+    {SinkSpec::Kind::CsvFile, "csv"},
+};
+
 SinkSpec
 parseSink(const json::Value &v)
 {
@@ -280,15 +290,13 @@ parseSink(const json::Value &v)
         specFail("sink needs a string \"type\"");
     SinkSpec s;
     const std::string &t = type->asString();
-    if (t == "table")
-        s.kind = SinkSpec::Kind::Table;
-    else if (t == "json")
-        s.kind = SinkSpec::Kind::JsonFile;
-    else if (t == "csv")
-        s.kind = SinkSpec::Kind::CsvFile;
-    else
-        specFail("unknown sink type \"" + t
-                 + "\" (known: table json csv)");
+    if (!parseSinkKind(t, s.kind)) {
+        std::string known;
+        for (const auto &[kind, name] : kSinkKinds)
+            known += (known.empty() ? "" : " ") + std::string(name);
+        specFail("unknown sink type \"" + t + "\" (known: " + known
+                 + ")");
+    }
     if (const json::Value *path = v.find("path")) {
         if (!path->isString())
             specFail("sink \"path\" must be a string");
@@ -351,6 +359,27 @@ samplingToJson(const sim::SamplingConfig &s)
 }
 
 } // anonymous namespace
+
+const char *
+sinkKindName(SinkSpec::Kind kind)
+{
+    for (const auto &[k, name] : kSinkKinds)
+        if (k == kind)
+            return name;
+    prophet_panic("unhandled sink kind");
+}
+
+bool
+parseSinkKind(const std::string &name, SinkSpec::Kind &kind)
+{
+    for (const auto &[k, n] : kSinkKinds) {
+        if (name == n) {
+            kind = k;
+            return true;
+        }
+    }
+    return false;
+}
 
 const std::vector<std::string> &
 knownMetrics()
@@ -557,10 +586,7 @@ ExperimentSpec::toJson() const
     json::Value sink_arr = json::Value::makeArray();
     for (const auto &s : sinks) {
         json::Value obj = json::Value::makeObject();
-        const char *t = s.kind == SinkSpec::Kind::Table ? "table"
-            : s.kind == SinkSpec::Kind::JsonFile      ? "json"
-                                                      : "csv";
-        obj.set("type", json::Value(t));
+        obj.set("type", json::Value(sinkKindName(s.kind)));
         if (!s.path.empty())
             obj.set("path", json::Value(s.path));
         sink_arr.push(std::move(obj));

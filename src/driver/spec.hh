@@ -87,6 +87,12 @@ struct SinkSpec
     std::string path; ///< required for JsonFile/CsvFile
 };
 
+/** A sink kind's one spelling: "table", "json" or "csv". */
+const char *sinkKindName(SinkSpec::Kind kind);
+
+/** The kind spelled @p name into @p kind; false for an unknown name. */
+bool parseSinkKind(const std::string &name, SinkSpec::Kind &kind);
+
 /** The parsed, validated experiment description. */
 struct ExperimentSpec
 {

@@ -12,6 +12,7 @@
 #include "common/error.hh"
 #include "common/exit_codes.hh"
 #include "driver/json.hh"
+#include "driver/sink.hh"
 #include "serve/protocol.hh"
 
 namespace prophet::serve
@@ -91,6 +92,27 @@ maybeErrorFrame(const json::Value &resp)
         return static_cast<int>(ec->asNumber());
     return static_cast<int>(
         exitCodeForError(codeFromName(code_name)));
+}
+
+/**
+ * One result-frame "sinks" entry as a rendered sink. False when it
+ * names an unknown type, lacks its content, or is a json/csv entry
+ * without a path.
+ */
+bool
+parseSinkEntry(const json::Value &entry, driver::SinkOutput &out)
+{
+    const json::Value *type = entry.find("type");
+    const json::Value *path = entry.find("path");
+    const json::Value *content = entry.find("content");
+    if (!type || !type->isString() || !content || !content->isString()
+        || !driver::parseSinkKind(type->asString(), out.sink.kind))
+        return false;
+    if (path && path->isString())
+        out.sink.path = path->asString();
+    out.bytes = content->asString();
+    return out.sink.kind == driver::SinkSpec::Kind::Table
+        || !out.sink.path.empty();
 }
 
 } // anonymous namespace
@@ -192,44 +214,26 @@ clientRun(const std::string &socket_path,
         return static_cast<int>(ExitCode::RuntimeFailure);
     }
 
-    // Materialise the daemon-rendered sinks exactly where a
-    // standalone run would have put them: table bytes to stdout,
-    // file sinks to their spec paths (with the CLI's stderr notes),
-    // so the two entry points are byte-identical to compare.
+    // Write the daemon-rendered sinks exactly as a standalone run
+    // would (the same writeSinkOutput), so the two entry points are
+    // byte-identical to compare. An entry that cannot be written is a
+    // failure, never silently skipped.
     bool sinks_ok = true;
     const json::Value *sinks = resp.find("sinks");
     if (sinks && sinks->isArray()) {
         for (const auto &s : sinks->asArray()) {
-            const json::Value *stype = s.find("type");
-            const json::Value *spath = s.find("path");
-            const json::Value *content = s.find("content");
-            if (!stype || !stype->isString() || !content
-                || !content->isString())
-                continue;
-            const std::string &kind = stype->asString();
-            const std::string &body = content->asString();
-            if (kind == "table") {
-                std::fwrite(body.data(), 1, body.size(), stdout);
-                continue;
-            }
-            const std::string path =
-                spath && spath->isString() ? spath->asString() : "";
-            if (path.empty()) {
-                sinks_ok = false;
-                continue;
-            }
-            std::ofstream out(path, std::ios::binary);
-            out << body;
-            out.flush();
-            if (!out) {
+            driver::SinkOutput out;
+            if (!parseSinkEntry(s, out)) {
+                const json::Value *type = s.find("type");
                 std::fprintf(stderr,
-                             "%s sink: write to %s failed\n",
-                             kind.c_str(), path.c_str());
+                             "client: cannot write sink entry of type "
+                             "%s: unknown type, or missing content or "
+                             "path\n",
+                             type ? json::dump(*type).c_str() : "(none)");
                 sinks_ok = false;
-                continue;
+            } else if (!driver::writeSinkOutput(out)) {
+                sinks_ok = false;
             }
-            std::fprintf(stderr, "%s sink: wrote %s\n", kind.c_str(),
-                         path.c_str());
         }
     }
 

@@ -4,11 +4,11 @@
  * daemon's Unix socket, send one request frame, decode the response.
  *
  * `clientRun` is the CLI-equivalent path: it ships a spec file's
- * text to the daemon, then materialises the returned sinks exactly
- * where a standalone `prophet run SPEC` would have put them — table
- * content to stdout, json/csv content to the spec's paths — and
- * returns the same documented exit code, so `prophet client run` is
- * a drop-in swap for `prophet run` against a warm daemon.
+ * text to the daemon, then writes the returned sinks with the same
+ * driver::writeSinkOutput a standalone `prophet run SPEC` uses —
+ * table content to stdout, json/csv content to the spec's paths —
+ * and returns the same documented exit code, so `prophet client run`
+ * is a drop-in swap for `prophet run` against a warm daemon.
  */
 
 #ifndef PROPHET_SERVE_CLIENT_HH
@@ -23,7 +23,10 @@ namespace prophet::serve
  * Run a spec file through the daemon at @p socket_path. Writes the
  * returned sinks locally, prints structured errors to stderr, and
  * returns the documented process exit code (the daemon's verdict,
- * or the client-side mapping for connect/protocol failures).
+ * or the client-side mapping for connect/protocol failures). A sink
+ * entry it cannot write — an unknown type, missing content, a
+ * json/csv entry without a path, or a failed file write — turns a
+ * successful verdict into 4.
  * @p deadline_s > 0 asks the daemon for a per-job deadline;
  * @p timeout_ms bounds the wait for the response frame (< 0 waits
  * forever — simulations can be slow).

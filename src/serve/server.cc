@@ -18,7 +18,6 @@
 #include "common/log.hh"
 #include "common/metrics.hh"
 #include "driver/driver.hh"
-#include "driver/sink.hh"
 
 namespace prophet::serve
 {
@@ -61,20 +60,6 @@ refuseConnection(int fd, const std::string &payload,
     readFrame(fd, max_bytes, 250);
     writeFrame(fd, payload, 1000);
     ::close(fd);
-}
-
-const char *
-sinkTypeName(driver::SinkSpec::Kind kind)
-{
-    switch (kind) {
-      case driver::SinkSpec::Kind::Table:
-        return "table";
-      case driver::SinkSpec::Kind::JsonFile:
-        return "json";
-      case driver::SinkSpec::Kind::CsvFile:
-        return "csv";
-    }
-    return "table";
 }
 
 } // anonymous namespace
@@ -287,7 +272,6 @@ ServeDaemon::workerLoop()
     static metrics::Gauge &active_gauge =
         metrics::gauge("serve.active");
     for (;;) {
-        int fd;
         auto req = std::make_shared<ActiveRequest>();
         {
             std::unique_lock<std::mutex> lock(mu);
@@ -299,13 +283,12 @@ ServeDaemon::workerLoop()
                     return;
                 continue;
             }
-            fd = queue.front();
+            req->fd = queue.front();
             queue.pop_front();
-            req->fd = fd;
             active.push_back(req);
         }
         active_gauge.add(1);
-        handleConnection(fd);
+        handleConnection(*req);
         {
             std::lock_guard<std::mutex> lock(mu);
             active.erase(
@@ -313,13 +296,14 @@ ServeDaemon::workerLoop()
                 active.end());
         }
         active_gauge.add(-1);
-        ::close(fd);
+        ::close(req->fd);
     }
 }
 
 void
-ServeDaemon::handleConnection(int fd)
+ServeDaemon::handleConnection(ActiveRequest &self)
 {
+    const int fd = self.fd;
     static metrics::Counter &requests =
         metrics::counter("serve.requests");
     static metrics::Counter &protocol_errors =
@@ -378,16 +362,7 @@ ServeDaemon::handleConnection(int fd)
         return;
     }
     if (kind == "run") {
-        // Find our own ActiveRequest (registered by workerLoop) so
-        // the run can ride its cancellation token.
-        std::shared_ptr<ActiveRequest> self;
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            for (const auto &a : active)
-                if (a->fd == fd)
-                    self = a;
-        }
-        handleRun(fd, req, std::move(self));
+        handleRun(self, req);
         return;
     }
     protocol_errors.inc();
@@ -431,9 +406,9 @@ ServeDaemon::residentRunner(const driver::ExperimentSpec &spec,
 }
 
 void
-ServeDaemon::handleRun(int fd, const json::Value &req,
-                       std::shared_ptr<ActiveRequest> self)
+ServeDaemon::handleRun(ActiveRequest &self, const json::Value &req)
 {
+    const int fd = self.fd;
     driver::ExperimentSpec spec;
     try {
         const json::Value *spec_text = req.find("spec_text");
@@ -465,12 +440,7 @@ ServeDaemon::handleRun(int fd, const json::Value &req,
 
     driver::DriverOptions dopts;
     dopts.resetMetrics = false;
-    dopts.suppressSpecSinks = true;
-    dopts.maxAttempts = opts.maxAttempts;
-    dopts.retryBackoffMs = opts.retryBackoffMs;
-    dopts.traceCache = 0; // the daemon's cache is on the runner
-    if (self)
-        dopts.shutdown = &self->token;
+    dopts.shutdown = &self.token;
     const json::Value *deadline = req.find("deadline_s");
     if (deadline && deadline->isNumber())
         dopts.jobTimeoutS = deadline->asNumber();
@@ -484,21 +454,7 @@ ServeDaemon::handleRun(int fd, const json::Value &req,
                                  // override path in serve)
     }
 
-    // Capturing sinks: the daemon renders what the spec asked for
-    // but ships the bytes back instead of touching the filesystem —
-    // the client owns where (and whether) they land.
-    std::vector<driver::SinkSpec> sink_specs = spec.sinks;
-    if (sink_specs.empty())
-        sink_specs.push_back(driver::SinkSpec{});
-    std::vector<std::unique_ptr<std::string>> captures;
-
     driver::ExperimentDriver drv(spec, dopts);
-    for (const auto &s : sink_specs) {
-        captures.push_back(std::make_unique<std::string>());
-        drv.addSink(
-            driver::makeCapturingSink(s, captures.back().get()));
-    }
-
     driver::ExperimentReport report;
     try {
         report = drv.run();
@@ -522,17 +478,19 @@ ServeDaemon::handleRun(int fd, const json::Value &req,
           json::Value(static_cast<double>(report.failedJobs)));
     o.set("interrupted", json::Value(report.interrupted));
     o.set("wall_seconds", json::Value(report.meta.wallSeconds));
+    // The daemon ships the rendered bytes back instead of touching
+    // the filesystem: the client owns where (and whether) they land.
     json::Value sinks = json::Value::makeArray();
-    for (std::size_t i = 0; i < sink_specs.size(); ++i) {
+    for (const auto &out : report.outputs) {
         json::Value s = json::Value::makeObject();
-        s.set("type", json::Value(sinkTypeName(sink_specs[i].kind)));
-        s.set("path", json::Value(sink_specs[i].path));
-        s.set("content", json::Value(*captures[i]));
+        s.set("type", json::Value(driver::sinkKindName(out.sink.kind)));
+        s.set("path", json::Value(out.sink.path));
+        s.set("content", json::Value(out.bytes));
         sinks.push(std::move(s));
     }
     o.set("sinks", std::move(sinks));
 
-    if (self && self->disconnected) {
+    if (self.disconnected) {
         // The monitor already saw the peer go; writing would only
         // burn the I/O timeout against a dead socket.
         return;

@@ -13,9 +13,10 @@
  *    spec field, or mid-run job failure produces a structured error
  *    or partial-result frame for THAT request while the daemon keeps
  *    serving everyone else;
- *  - per-request deadlines ride the driver's JobWatchdog thread-local
- *    tokens, so a deadline cancels one request's jobs on a shared
- *    resident runner without touching its neighbours;
+ *  - each request runs with its own token, and every job it starts
+ *    polls a private token chained to it, so a deadline, disconnect
+ *    or drain cancels one request's jobs on a shared resident runner
+ *    without touching its neighbours;
  *  - a client that disconnects mid-run has its request token fired
  *    (the orphaned jobs unwind within a bounded number of records)
  *    and its slot freed;
@@ -89,10 +90,6 @@ struct ServeOptions
      *  After it, their tokens fire and they unwind as interrupted. */
     double drainGraceS = 5.0;
 
-    /** Driver retry policy forwarded per request. */
-    unsigned maxAttempts = 2;
-    unsigned retryBackoffMs = 50;
-
     /** On-disk trace cache: -1 spec value, 0 off, 1 on. */
     int traceCache = -1;
     std::string traceCacheDir; ///< empty = default dir
@@ -149,9 +146,8 @@ class ServeDaemon
     void acceptLoop();
     void workerLoop();
     void monitorLoop();
-    void handleConnection(int fd);
-    void handleRun(int fd, const driver::json::Value &req,
-                   std::shared_ptr<ActiveRequest> active);
+    void handleConnection(ActiveRequest &self);
+    void handleRun(ActiveRequest &self, const driver::json::Value &req);
     void handleHealth(int fd);
 
     /**

@@ -20,19 +20,12 @@ Runner::setTraceCache(std::shared_ptr<trace::TraceCache> c)
     cache = std::move(c);
 }
 
-void
-Runner::setCancellation(const CancellationToken *token)
-{
-    std::lock_guard<std::mutex> lock(cacheMu);
-    cancel = token;
-}
-
 namespace
 {
 /**
  * The calling thread's job-scoped token. thread_local rather than a
- * Runner member so the watchdog needs no per-job plumbing through
- * the pipeline registry: whatever Systems a job builds on its worker
+ * Runner member so the driver needs no per-job plumbing through the
+ * pipeline registry: whatever Systems a job builds on its worker
  * thread — including nested baseline/profile runs — poll this token.
  */
 thread_local const CancellationToken *tl_job_cancel = nullptr;
@@ -215,13 +208,7 @@ Runner::runConfig(const std::string &workload, const SystemConfig &cfg)
     std::shared_ptr<const trace::Trace> tr = traceShared(workload);
     span::Span sim_span("simulate " + workload, "sim");
     System system(cfg, resolverFor(workload));
-    if (tl_job_cancel) {
-        system.setCancellation(tl_job_cancel);
-    } else {
-        std::lock_guard<std::mutex> lock(cacheMu);
-        if (cancel)
-            system.setCancellation(cancel);
-    }
+    system.setCancellation(tl_job_cancel);
     return system.run(*tr);
 }
 
@@ -282,13 +269,7 @@ Runner::profileWorkload(const std::string &workload)
     // timing-simulation throughput the phase split measures.
     cfg.profilingRun = true;
     System system(cfg, resolverFor(workload));
-    if (tl_job_cancel) {
-        system.setCancellation(tl_job_cancel);
-    } else {
-        std::lock_guard<std::mutex> lock(cacheMu);
-        if (cancel)
-            system.setCancellation(cancel);
-    }
+    system.setCancellation(tl_job_cancel);
     system.run(*tr);
     prophet_assert(system.prophet() != nullptr);
     core::ProfileSnapshot snap = system.prophet()->takeSnapshot();

@@ -53,6 +53,10 @@ struct Rpg2Outcome
  * workers race to fill a cache slot, both compute the (deterministic)
  * value and the first insert wins, so results never depend on
  * scheduling.
+ *
+ * A Runner holds no cancellation token: every System it builds polls
+ * the calling thread's job token (setThreadJobCancellation), so
+ * concurrent runs sharing one resident Runner cancel independently.
  */
 class Runner
 {
@@ -78,25 +82,14 @@ class Runner
     trace::TraceCache *traceCache() const { return cache.get(); }
 
     /**
-     * Attach a cancellation token: every System this Runner builds
-     * from here on polls it and aborts with
-     * Error(ErrorCode::Cancelled) once it fires (the sweep driver's
-     * fail-fast policy). nullptr detaches. The token must outlive
-     * the runs; polling an attached-but-idle token is bit-identical
-     * to running without one.
-     */
-    void setCancellation(const CancellationToken *token);
-
-    /** The attached cancellation token (may be null). */
-    const CancellationToken *cancellation() const { return cancel; }
-
-    /**
-     * Per-thread job token: Systems built on the *calling thread*
-     * poll @p token instead of the runner-wide one until it is
-     * cleared (nullptr). The driver's watchdog scopes one around
-     * each job attempt so a deadline cancels that job alone; with no
-     * job token set, behaviour is exactly the runner-wide token's.
-     * The token must outlive the scoped runs.
+     * Per-thread job token: every System built on the *calling
+     * thread* polls @p token and aborts with
+     * Error(ErrorCode::Cancelled) once it fires, until the token is
+     * cleared (nullptr). The driver scopes one private token around
+     * each job attempt, chained to its run's token, so one Runner
+     * shared by concurrent runs never mixes their cancellations.
+     * The token must outlive the scoped runs; polling a token that
+     * never fires is bit-identical to running without one.
      */
     static void setThreadJobCancellation(
         const CancellationToken *token);
@@ -218,7 +211,6 @@ class Runner
     SystemConfig base;
     std::size_t recordsOverride;
     std::shared_ptr<trace::TraceCache> cache; ///< optional
-    const CancellationToken *cancel = nullptr; ///< optional
 
     /**
      * Guards the caches below. Held only around lookups and

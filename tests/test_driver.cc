@@ -1,7 +1,7 @@
 /**
  * @file
- * End-to-end tests for the experiment driver: a spec run's JSON-sink
- * output must match the equivalent direct Runner calls bit-for-bit
+ * End-to-end tests for the experiment driver: a spec run's rendered
+ * JSON sink must match the equivalent direct Runner calls bit-for-bit
  * (same doubles, same counters), results must be independent of the
  * thread count, and the run must carry its metadata.
  */
@@ -48,16 +48,33 @@ smokeSpec(const std::string &json_path)
 }
 
 json::Value
+parseJson(const std::string &text)
+{
+    json::Value doc;
+    std::string err;
+    EXPECT_TRUE(json::parse(text, doc, &err)) << err;
+    return doc;
+}
+
+json::Value
 readJson(const std::string &path)
 {
     std::ifstream in(path, std::ios::binary);
     EXPECT_TRUE(in.good()) << path;
     std::ostringstream buf;
     buf << in.rdbuf();
-    json::Value doc;
-    std::string err;
-    EXPECT_TRUE(json::parse(buf.str(), doc, &err)) << err;
-    return doc;
+    return parseJson(buf.str());
+}
+
+/** The rendered JSON sink of a smokeSpec() run. */
+json::Value
+jsonOutput(const ExperimentReport &report)
+{
+    EXPECT_EQ(report.outputs.size(), 1u);
+    if (report.outputs.empty())
+        return json::Value();
+    EXPECT_EQ(report.outputs[0].sink.kind, SinkSpec::Kind::JsonFile);
+    return parseJson(report.outputs[0].bytes);
 }
 
 class DriverTest : public ::testing::Test
@@ -85,8 +102,10 @@ TEST_F(DriverTest, JsonSinkMatchesDirectRunnerBitForBit)
     ExperimentDriver drv(smokeSpec(out_path));
     auto report = drv.run();
     ASSERT_EQ(report.results.size(), 6u);
+    // run() renders the sink but writes no file itself.
+    EXPECT_FALSE(fs::exists(out_path));
 
-    auto doc = readJson(out_path);
+    auto doc = jsonOutput(report);
     const json::Value *results = doc.find("results");
     ASSERT_NE(results, nullptr);
     ASSERT_EQ(results->asArray().size(), 6u);
@@ -201,7 +220,6 @@ expectThreadCountIndependent(const ExperimentSpec &spec)
     DriverOptions o1, o4;
     o1.threads = 1;
     o4.threads = 4;
-    o1.suppressSpecSinks = o4.suppressSpecSinks = true;
     auto r1 = ExperimentDriver(spec, o1).run();
     auto r4 = ExperimentDriver(spec, o4).run();
     ASSERT_TRUE(r1.ok());
@@ -274,8 +292,10 @@ TEST_F(DriverTest, UnwritableSinkIsReportedNotSilent)
     auto spec = smokeSpec(dir + "/no/such/directory/out.json");
     ExperimentDriver drv(std::move(spec));
     auto report = drv.run();
-    EXPECT_FALSE(report.sinksOk);
     EXPECT_EQ(report.results.size(), 6u); // results still computed
+    ASSERT_EQ(report.outputs.size(), 1u);
+    EXPECT_FALSE(report.outputs[0].bytes.empty());
+    EXPECT_FALSE(writeSinkOutput(report.outputs[0]));
 }
 
 TEST_F(DriverTest, CsvSinkWritesOneRowPerJob)
@@ -289,7 +309,9 @@ TEST_F(DriverTest, CsvSinkWritesOneRowPerJob)
     spec.sinks.push_back(csv);
 
     ExperimentDriver drv(std::move(spec));
-    drv.run();
+    auto report = drv.run();
+    ASSERT_EQ(report.outputs.size(), 1u);
+    ASSERT_TRUE(writeSinkOutput(report.outputs[0]));
 
     std::ifstream in(csv_path);
     ASSERT_TRUE(in.good());
@@ -342,7 +364,7 @@ TEST_F(DriverTest, KeepGoingIsolatesAnInjectedJobFailure)
 
     // The JSON sink renders the partial run: a failed_jobs count at
     // the root and an error object on exactly the failed row.
-    auto doc = readJson(out_path);
+    auto doc = jsonOutput(report);
     EXPECT_EQ(doc.find("failed_jobs")->asNumber(), 1.0);
     const auto &rows = doc.find("results")->asArray();
     ASSERT_EQ(rows.size(), 6u);

@@ -153,30 +153,27 @@ TEST_P(Golden, SinksMatchExpectedFiles)
     if (!c.full)
         opts.records = kFastRecords;
     opts.traceCache = 0;
-    opts.suppressSpecSinks = true;
 
-    // Capture exactly the sinks the spec would have written (the
-    // default table when it names none), one expected file per kind.
-    std::vector<SinkSpec> sinks = spec.sinks;
-    if (sinks.empty())
-        sinks.push_back(SinkSpec{});
-    std::vector<std::string> captured(sinks.size());
+    // Exactly the sinks the spec would have written (the default
+    // table when it names none), one expected file per kind.
     ExperimentDriver drv(spec, opts);
-    for (std::size_t i = 0; i < sinks.size(); ++i) {
+    const ExperimentReport report = drv.run();
+    ASSERT_TRUE(report.ok()) << c.stem;
+    const std::vector<SinkOutput> &outputs = report.outputs;
+    ASSERT_EQ(outputs.size(), std::max<std::size_t>(spec.sinks.size(), 1))
+        << c.stem;
+    for (std::size_t i = 0; i < outputs.size(); ++i)
         for (std::size_t j = 0; j < i; ++j)
-            ASSERT_NE(sinks[i].kind, sinks[j].kind)
+            ASSERT_NE(outputs[i].sink.kind, outputs[j].sink.kind)
                 << c.stem << ": two sinks of one kind share a file";
-        drv.addSink(makeCapturingSink(sinks[i], &captured[i]));
-    }
-    ASSERT_TRUE(drv.run().ok()) << c.stem;
 
     const fs::path dir = kSourceDir / "tests" / "golden"
         / (c.full ? "full" : "");
-    for (std::size_t i = 0; i < sinks.size(); ++i) {
+    for (const SinkOutput &output : outputs) {
         const fs::path expected_path =
-            dir / (c.stem + extensionFor(sinks[i].kind));
+            dir / (c.stem + extensionFor(output.sink.kind));
         const std::string actual =
-            normalize(sinks[i].kind, captured[i]);
+            normalize(output.sink.kind, output.bytes);
         if (gUpdate) {
             fs::create_directories(dir);
             std::ofstream out(expected_path, std::ios::binary);

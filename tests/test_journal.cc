@@ -398,17 +398,26 @@ counterValue(const std::string &name)
     return metrics::counter(name).value();
 }
 
+/** The rendered CSV sink of a resumableSpec() run. */
+std::string
+csvOutput(const ExperimentReport &report)
+{
+    EXPECT_EQ(report.outputs.size(), 1u);
+    return report.outputs.empty() ? "" : report.outputs[0].bytes;
+}
+
 TEST_F(JournalTest, ResumedRunMergesByteIdenticalWithScratchRun)
 {
-    const std::string ref_csv = dir + "/ref.csv";
     const std::string csv = dir + "/out.csv";
     const std::string journal = dir + "/spec.journal";
 
     // Ground truth: one uninterrupted run, no journal.
+    std::string ref_csv;
     {
-        ExperimentDriver drv(resumableSpec(ref_csv));
+        ExperimentDriver drv(resumableSpec(csv));
         auto report = drv.run();
         EXPECT_TRUE(report.ok());
+        ref_csv = csvOutput(report);
     }
 
     // First attempt: journaled, one job fails permanently — the
@@ -429,18 +438,16 @@ TEST_F(JournalTest, ResumedRunMergesByteIdenticalWithScratchRun)
     // Resume: the three journaled jobs replay (counted), only the
     // failed one re-simulates, and the merged CSV is byte-identical
     // to the scratch run's.
-    {
-        ExperimentDriver drv(resumableSpec(csv), opts);
-        auto report = drv.run();
-        EXPECT_TRUE(report.ok());
-        EXPECT_EQ(report.resumedJobs, 3u);
-        EXPECT_EQ(counterValue("journal.hits"), 3u);
-        std::size_t resumed = 0;
-        for (const auto &r : report.results)
-            resumed += r.resumed ? 1 : 0;
-        EXPECT_EQ(resumed, 3u);
-    }
-    EXPECT_EQ(readFileBytes(ref_csv), readFileBytes(csv));
+    ExperimentDriver drv(resumableSpec(csv), opts);
+    auto report = drv.run();
+    EXPECT_TRUE(report.ok());
+    EXPECT_EQ(report.resumedJobs, 3u);
+    EXPECT_EQ(counterValue("journal.hits"), 3u);
+    std::size_t resumed = 0;
+    for (const auto &r : report.results)
+        resumed += r.resumed ? 1 : 0;
+    EXPECT_EQ(resumed, 3u);
+    EXPECT_EQ(csvOutput(report), ref_csv);
 }
 
 TEST_F(JournalTest, ResumeAfterCompletionReplaysEverything)
@@ -448,16 +455,18 @@ TEST_F(JournalTest, ResumeAfterCompletionReplaysEverything)
     const std::string csv = dir + "/out.csv";
     DriverOptions opts;
     opts.journalPath = dir + "/spec.journal";
+    std::string first;
     {
         ExperimentDriver drv(resumableSpec(csv), opts);
-        EXPECT_TRUE(drv.run().ok());
+        auto report = drv.run();
+        EXPECT_TRUE(report.ok());
+        first = csvOutput(report);
     }
-    auto first = readFileBytes(csv);
     ExperimentDriver drv(resumableSpec(csv), opts);
     auto report = drv.run();
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.resumedJobs, 4u);
-    EXPECT_EQ(readFileBytes(csv), first);
+    EXPECT_EQ(csvOutput(report), first);
 }
 
 TEST_F(JournalTest, JournalFromDifferentSpecRefusesToResume)

@@ -24,10 +24,12 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -159,6 +161,44 @@ rawConnect(const std::string &path)
     return fd;
 }
 
+/**
+ * clientRun against a stub listener on @p path that answers the run
+ * request with @p frame; returns clientRun's exit code.
+ */
+int
+clientRunAgainstStub(const std::string &path, const std::string &frame,
+                     const std::string &spec_path)
+{
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    EXPECT_LT(path.size(), sizeof(addr.sun_path));
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    const int listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(listen_fd, 0);
+    EXPECT_EQ(0, ::bind(listen_fd,
+                        reinterpret_cast<struct sockaddr *>(&addr),
+                        sizeof(addr)))
+        << std::strerror(errno);
+    EXPECT_EQ(0, ::listen(listen_fd, 1));
+    std::thread stub([&] {
+        struct pollfd pfd = {listen_fd, POLLIN, 0};
+        if (::poll(&pfd, 1, 5000) <= 0)
+            return;
+        const int fd = ::accept(listen_fd, nullptr, nullptr);
+        if (fd < 0)
+            return;
+        readFrame(fd, kDefaultMaxFrameBytes, 5000);
+        writeFrame(fd, frame, 5000);
+        ::close(fd);
+    });
+    const int rc = clientRun(path, spec_path, 0.0, 5000);
+    stub.join();
+    ::close(listen_fd);
+    ::unlink(path.c_str());
+    return rc;
+}
+
 /** Poll @p cond up to @p budget; true when it held in time. */
 bool
 eventually(const std::function<bool()> &cond,
@@ -184,7 +224,6 @@ class ServeDaemonTest : public ::testing::Test
         sock = freshSocketPath();
         opts.socketPath = sock;
         opts.workers = 2;
-        opts.retryBackoffMs = 0;
         opts.traceCache = 0; // resident Runner reuse is the cache
     }
 
@@ -241,22 +280,21 @@ TEST_F(ServeDaemonTest, RunMatchesStandaloneDriverByteForByte)
     daemon.drainAndStop();
 
     // Ground truth: the same spec through the standalone driver,
-    // rendered by the same capturing-sink path the daemon uses.
+    // whose rendered outputs the daemon ships.
     json::Value doc;
     ASSERT_TRUE(json::parse(specText(), doc, nullptr));
     driver::DriverOptions dopts;
     dopts.resetMetrics = false; // keep serve.* deltas readable
-    dopts.suppressSpecSinks = true;
     dopts.traceCache = 0;
     driver::ExperimentDriver drv(
         driver::ExperimentSpec::fromJson(doc), dopts);
-    driver::SinkSpec csv;
-    csv.kind = driver::SinkSpec::Kind::CsvFile;
-    csv.path = "out.csv";
-    std::string direct;
-    drv.addSink(driver::makeCapturingSink(csv, &direct));
-    ASSERT_TRUE(drv.run().ok());
-    EXPECT_EQ(served, direct);
+    const driver::ExperimentReport report = drv.run();
+    ASSERT_TRUE(report.ok());
+    ASSERT_EQ(report.outputs.size(), 1u);
+    EXPECT_EQ(report.outputs[0].sink.kind,
+              driver::SinkSpec::Kind::CsvFile);
+    EXPECT_EQ(report.outputs[0].sink.path, "out.csv");
+    EXPECT_EQ(served, report.outputs[0].bytes);
 }
 
 TEST_F(ServeDaemonTest, StaticReportMatchesStandaloneDriverByteForByte)
@@ -280,12 +318,14 @@ TEST_F(ServeDaemonTest, StaticReportMatchesStandaloneDriverByteForByte)
     ASSERT_TRUE(json::parse(table1, doc, nullptr));
     driver::DriverOptions dopts;
     dopts.resetMetrics = false;
-    dopts.suppressSpecSinks = true;
     driver::ExperimentDriver drv(driver::ExperimentSpec::fromJson(doc),
                                  dopts);
-    std::string direct;
-    drv.addSink(driver::makeCapturingSink(driver::SinkSpec{}, &direct));
-    ASSERT_TRUE(drv.run().ok());
+    const driver::ExperimentReport report = drv.run();
+    ASSERT_TRUE(report.ok());
+    ASSERT_EQ(report.outputs.size(), 1u);
+    EXPECT_EQ(report.outputs[0].sink.kind,
+              driver::SinkSpec::Kind::Table);
+    const std::string &direct = report.outputs[0].bytes;
     EXPECT_EQ(direct.rfind("== Table 1: System Configuration ==", 0),
               0u)
         << direct;
@@ -520,7 +560,6 @@ TEST_F(ServeDaemonTest, DisconnectedClientFreesItsSlotMidRun)
 
 TEST_F(ServeDaemonTest, RequestDeadlineCancelsAsJobTimeout)
 {
-    opts.maxAttempts = 1; // one doomed attempt is enough
     ServeDaemon daemon(opts);
     daemon.start();
     // 2M records cannot finish in 1 ms: the per-request deadline
@@ -540,6 +579,64 @@ TEST_F(ServeDaemonTest, RequestDeadlineCancelsAsJobTimeout)
     EXPECT_EQ(static_cast<int>(resp.find("exit_code")->asNumber()),
               0);
     daemon.drainAndStop();
+}
+
+TEST_F(ServeDaemonTest, ClientRunFailsOnASinkEntryItCannotWrite)
+{
+    const fs::path dir = sock + ".d";
+    fs::create_directories(dir);
+    const std::string spec_path = (dir / "spec.json").string();
+    { std::ofstream spec(spec_path); spec << specText(); }
+    auto resultFrame = [](json::Value entry) {
+        json::Value sinks = json::Value::makeArray();
+        sinks.push(std::move(entry));
+        json::Value o = json::Value::makeObject();
+        o.set("type", json::Value("result"));
+        o.set("exit_code", json::Value(0));
+        o.set("failed_jobs", json::Value(0.0));
+        o.set("sinks", std::move(sinks));
+        return json::dump(o);
+    };
+    auto entry = [](const char *type, const std::string &path,
+                    const char *content) {
+        json::Value s = json::Value::makeObject();
+        s.set("type", json::Value(type));
+        s.set("path", json::Value(path));
+        if (content)
+            s.set("content", json::Value(content));
+        return s;
+    };
+
+    // An unknown type is refused, not written under its path.
+    const std::string xml = (dir / "out.xml").string();
+    EXPECT_EQ(clientRunAgainstStub(
+                  sock, resultFrame(entry("xml", xml, "<r/>")),
+                  spec_path),
+              4);
+    EXPECT_FALSE(fs::exists(xml));
+
+    // Missing content, and a file sink without a path.
+    const std::string csv = (dir / "out.csv").string();
+    EXPECT_EQ(clientRunAgainstStub(
+                  sock, resultFrame(entry("csv", csv, nullptr)),
+                  spec_path),
+              4);
+    EXPECT_FALSE(fs::exists(csv));
+    EXPECT_EQ(clientRunAgainstStub(
+                  sock, resultFrame(entry("json", "", "{}")),
+                  spec_path),
+              4);
+
+    // A well-formed entry lands at its path, byte for byte.
+    EXPECT_EQ(clientRunAgainstStub(
+                  sock, resultFrame(entry("csv", csv, "a,b\n1,2\n")),
+                  spec_path),
+              0);
+    std::ifstream in(csv, std::ios::binary);
+    std::string written((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+    EXPECT_EQ(written, "a,b\n1,2\n");
+    fs::remove_all(dir);
 }
 
 TEST_F(ServeDaemonTest, RssWatermarkEvictsIdleTraces)

@@ -274,5 +274,48 @@ TEST(System, CancelledTokenUnwindsWithStructuredError)
     }
 }
 
+TEST(System, ChildTokenUnwindsWhenOnlyItsParentFires)
+{
+    // The driver's route: each job attempt polls a private token
+    // chained to its run's token, and only the run's token fires on
+    // shutdown or fail-fast.
+    auto t = chaseTrace(30000, 200000);
+    CancellationToken run;
+    CancellationToken attempt(&run);
+    EXPECT_FALSE(attempt.cancelled());
+    run.cancel();
+    EXPECT_TRUE(attempt.cancelled());
+    System sys(baseCfg());
+    sys.setCancellation(&attempt);
+    try {
+        sys.run(t);
+        FAIL() << "run did not observe its parent token firing";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::Cancelled);
+    }
+}
+
+TEST(System, CancellingAChildLeavesItsParentAndSiblingsLive)
+{
+    // A deadline fires one attempt's token alone: the run and its
+    // other attempts keep going, bit-identical to an unpolled run.
+    auto t = chaseTrace(30000, 200000);
+    CancellationToken run;
+    CancellationToken timed_out(&run);
+    CancellationToken sibling(&run);
+    timed_out.cancel();
+    EXPECT_TRUE(timed_out.cancelled());
+    EXPECT_FALSE(run.cancelled());
+    EXPECT_FALSE(sibling.cancelled());
+
+    System plain(baseCfg());
+    auto ref = plain.run(t);
+    System sys(baseCfg());
+    sys.setCancellation(&sibling, 1024);
+    auto s = sys.run(t);
+    EXPECT_EQ(s.cycles, ref.cycles);
+    EXPECT_EQ(s.records, ref.records);
+}
+
 } // anonymous namespace
 } // namespace prophet::sim

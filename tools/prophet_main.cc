@@ -14,7 +14,7 @@
  *   prophet trace-cache clear [--trace-cache-dir DIR]
  *   prophet trace-cache stats [--trace-cache-dir DIR]
  *
- * `run` executes a spec and streams results to its sinks; CLI flags
+ * `run` executes a spec and writes its sinks; CLI flags
  * override the spec's thread/record counts and failure policy.
  * `trace-cache warm` pre-generates the traces a spec (or an explicit
  * workload list) needs, so subsequent runs skip generation.
@@ -392,6 +392,9 @@ cmdRun(const Flags &flags)
                                      std::move(opts));
         bool keep_going = drv.keepGoingEnabled();
         auto report = drv.run();
+        for (const auto &out : report.outputs)
+            if (!driver::writeSinkOutput(out))
+                report.sinksOk = false;
         // The report-to-exit mapping is shared with the serve
         // daemon's response frames (driver::exitCodeForReport), so
         // the two entry points cannot disagree on a verdict.
@@ -451,8 +454,6 @@ cmdServe(Flags &flags)
     sopts.socketPath = flags.socketPath;
     sopts.traceCache = flags.opts.traceCache;
     sopts.traceCacheDir = flags.opts.traceCacheDir;
-    sopts.maxAttempts = flags.opts.maxAttempts;
-    sopts.retryBackoffMs = flags.opts.retryBackoffMs;
 
     try {
         serve::ServeDaemon daemon(std::move(sopts));

@@ -7,15 +7,14 @@ namespace prophet::core
 {
 
 MultiPathVictimBuffer::MultiPathVictimBuffer(unsigned total_entries,
-                                             unsigned candidates,
-                                             unsigned ways)
-    : numSets(total_entries / ways), numWays(ways),
-      maxCandidates(candidates),
-      slots(static_cast<std::size_t>(total_entries))
+                                             unsigned candidates)
+    : numSets(total_entries / kWays), maxCandidates(candidates),
+      slots(static_cast<std::size_t>(total_entries)),
+      counters(slots.size(), 0)
 {
     prophet_assert(candidates >= 1);
-    prophet_assert(ways >= candidates);
-    prophet_assert(total_entries % ways == 0);
+    prophet_assert(candidates <= kWays);
+    prophet_assert(total_entries % kWays == 0);
     prophet_assert(isPowerOf2(numSets));
 }
 
@@ -29,12 +28,6 @@ MultiPathVictimBuffer::setIndex(Addr key) const
     return static_cast<unsigned>(h & (numSets - 1));
 }
 
-MultiPathVictimBuffer::Slot &
-MultiPathVictimBuffer::at(unsigned set, unsigned way)
-{
-    return slots[static_cast<std::size_t>(set) * numWays + way];
-}
-
 void
 MultiPathVictimBuffer::offer(const pf::MarkovTable::Entry &victim)
 {
@@ -46,17 +39,20 @@ MultiPathVictimBuffer::offer(const pf::MarkovTable::Entry &victim)
         ++statsData.rejectedLowPriority;
         return;
     }
+    prophet_assert(victim.key != kInvalidAddr);
 
-    unsigned set = setIndex(victim.key);
+    const std::size_t base =
+        static_cast<std::size_t>(setIndex(victim.key)) * kWays;
+    Slot *s = slots.data() + base;
+    std::uint8_t *c = counters.data() + base;
 
     // Already buffered? Refresh its counter instead of duplicating.
     unsigned key_slots = 0;
-    for (unsigned w = 0; w < numWays; ++w) {
-        Slot &s = at(set, w);
-        if (s.valid && s.key == victim.key) {
-            if (s.target == victim.target) {
-                if (s.counter < 3)
-                    ++s.counter;
+    for (unsigned w = 0; w < kWays; ++w) {
+        if (s[w].key == victim.key) {
+            if (s[w].target == victim.target) {
+                if (c[w] < 3)
+                    ++c[w];
                 return;
             }
             ++key_slots;
@@ -70,26 +66,26 @@ MultiPathVictimBuffer::offer(const pf::MarkovTable::Entry &victim)
     // one key cannot monopolize a set.
     int target_way = -1;
     std::uint8_t best_counter = 255;
-    for (unsigned w = 0; w < numWays; ++w) {
-        Slot &s = at(set, w);
-        if (!s.valid && key_slots < maxCandidates) {
+    for (unsigned w = 0; w < kWays; ++w) {
+        const bool valid = s[w].key != kInvalidAddr;
+        if (!valid && key_slots < maxCandidates) {
             target_way = static_cast<int>(w);
             break;
         }
-        if (!s.valid)
+        if (!valid)
             continue;
-        bool same_key = s.key == victim.key;
+        bool same_key = s[w].key == victim.key;
         bool eligible = key_slots >= maxCandidates ? same_key : true;
-        if (eligible && s.counter < best_counter) {
-            best_counter = s.counter;
+        if (eligible && c[w] < best_counter) {
+            best_counter = c[w];
             target_way = static_cast<int>(w);
         }
     }
     if (target_way < 0)
         return;
 
-    at(set, static_cast<unsigned>(target_way)) =
-        Slot{victim.key, victim.target, 1, true};
+    s[target_way] = Slot{victim.key, victim.target};
+    c[target_way] = 1;
     ++statsData.inserts;
 }
 
@@ -98,17 +94,21 @@ MultiPathVictimBuffer::lookup(Addr key, Addr table_target,
                               std::vector<Addr> &out)
 {
     ++statsData.lookups;
-    unsigned set = setIndex(key);
+    const std::size_t base =
+        static_cast<std::size_t>(setIndex(key)) * kWays;
+    const Slot *s = slots.data() + base;
     unsigned found = 0;
-    for (unsigned w = 0; w < numWays && found < maxCandidates; ++w) {
-        Slot &s = at(set, w);
-        if (!s.valid || s.key != key)
+    for (unsigned w = 0; w < kWays && found < maxCandidates; ++w) {
+        // An invalid slot's kInvalidAddr key never equals a line
+        // address.
+        if (s[w].key != key)
             continue;
-        if (s.counter < 3)
-            ++s.counter;
-        if (s.target == table_target)
+        std::uint8_t &c = counters[base + w];
+        if (c < 3)
+            ++c;
+        if (s[w].target == table_target)
             continue; // the table already supplies this path
-        out.push_back(s.target);
+        out.push_back(s[w].target);
         ++statsData.extraTargets;
         ++found;
     }

@@ -46,15 +46,17 @@ struct MvbStats
 class MultiPathVictimBuffer
 {
   public:
+    /** Target slots per set; also the cap on `candidates`. */
+    static constexpr unsigned kWays = 4;
+
     /**
-     * @param total_entries Total target slots (65,536 in §5.10).
+     * @param total_entries Total target slots (65,536 in §5.10);
+     *        kWays times a power of two.
      * @param candidates Max distinct targets buffered per key
-     *        (Figure 16(c) sweeps 1/2/4).
-     * @param ways Set associativity in keys.
+     *        (Figure 16(c) sweeps 1/2/4), at most kWays.
      */
     explicit MultiPathVictimBuffer(unsigned total_entries = 65536,
-                                   unsigned candidates = 1,
-                                   unsigned ways = 4);
+                                   unsigned candidates = 1);
 
     /**
      * Offer a displaced metadata entry (wired to
@@ -82,22 +84,26 @@ class MultiPathVictimBuffer
     unsigned candidatesPerKey() const { return maxCandidates; }
 
   private:
+    /**
+     * One buffered target, 16 bytes. A slot is valid exactly when
+     * its key is not kInvalidAddr: keys are line addresses, which
+     * never reach the all-ones sentinel. The 2-bit reuse counters
+     * live in the parallel `counters` array, so a set's slots take
+     * 64 bytes and the probe reads no counter until a key matches.
+     */
     struct Slot
     {
         Addr key = kInvalidAddr;
         Addr target = kInvalidAddr;
-        std::uint8_t counter = 0; ///< 2-bit reuse counter
-        bool valid = false;
     };
 
     unsigned numSets;
-    unsigned numWays;
     unsigned maxCandidates;
     std::vector<Slot> slots;
+    std::vector<std::uint8_t> counters;
     MvbStats statsData;
 
     unsigned setIndex(Addr key) const;
-    Slot &at(unsigned set, unsigned way);
 };
 
 } // namespace prophet::core

@@ -1,6 +1,7 @@
 #include "core/prophet.hh"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/log.hh"
 
@@ -82,13 +83,14 @@ ProphetPrefetcher::observe(PC pc, Addr line_addr, bool l2_hit,
     bool use_insertion = !cfg.profilingMode && cfg.features.insertion;
     bool use_replacement =
         !cfg.profilingMode && cfg.features.replacement;
-    if (use_insertion || use_replacement) {
-        if (auto hint = bin.hints.lookup(pc)) {
-            if (use_insertion)
-                allow_insert = hint->allowInsert;
-            if (use_replacement)
-                priority = hint->allowInsert ? hint->priority : 0;
-        }
+    std::optional<Hint> hint;
+    if (use_insertion || use_replacement)
+        hint = bin.hints.lookup(pc);
+    if (hint) {
+        if (use_insertion)
+            allow_insert = hint->allowInsert;
+        if (use_replacement)
+            priority = hint->allowInsert ? hint->priority : 0;
     }
 
     // Condemned PCs are discarded entirely: no training, no
@@ -109,11 +111,8 @@ ProphetPrefetcher::observe(PC pc, Addr line_addr, bool l2_hit,
     bool use_mvb = !cfg.profilingMode && cfg.features.mvb;
     Addr cur = line_addr;
     unsigned degree = effectiveDegree();
-    if (use_insertion && degree > 1) {
-        if (auto hint = bin.hints.lookup(pc))
-            degree = std::min<unsigned>(
-                degree, 1u + hint->priority);
-    }
+    if (use_insertion && hint)
+        degree = std::min<unsigned>(degree, 1u + hint->priority);
     for (unsigned d = 0; d < degree; ++d) {
         auto target = table.lookup(cur);
         if (use_mvb) {

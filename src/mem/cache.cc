@@ -4,6 +4,8 @@
 #include <emmintrin.h>
 #endif
 
+#include <algorithm>
+
 #include "common/intmath.hh"
 #include "common/log.hh"
 
@@ -30,93 +32,69 @@ Cache::Cache(const CacheConfig &config)
     repl->reset(sets, waysTotal);
 }
 
+template <bool kFindHole>
 int
-Cache::findWay(unsigned set, Addr line_addr) const
+Cache::scanSet(unsigned set, Addr line_addr, int *hole) const
 {
     // Invalid ways hold kInvalidTag, which never equals a real line
     // address, and ways below `reserved` are never filled, so a
-    // whole-set scan can only match in the demand partition.
+    // whole-set scan can only match in the demand partition. With
+    // kFindHole the same pass also records the lowest invalid way
+    // of the demand partition in *hole (-1 when the set is full);
+    // the scan then has to read the whole set on a miss, which it
+    // does anyway.
     const std::size_t base = lineIndex(set, 0);
     const Addr *t = tags.data() + base;
+    if constexpr (kFindHole)
+        *hole = -1;
+    unsigned w = 0;
 #if defined(__SSE2__)
     // Vector scan of the 32-bit tag array, four ways per compare;
     // the rare low-word match is verified against the full tag.
     // Candidate ways resolve in ascending order, so the result is
-    // the same lowest matching way the scalar loop returns.
+    // the same lowest matching way (and lowest hole) the scalar loop
+    // returns.
     const std::uint32_t *tl = tagLo.data() + base;
     const __m128i vlo = _mm_set1_epi32(
         static_cast<int>(static_cast<std::uint32_t>(line_addr)));
+    const __m128i vinv = _mm_set1_epi32(
+        static_cast<int>(kInvalidTagLo));
     const unsigned vec_end = waysTotal & ~3u;
-    unsigned w = 0;
     for (; w < vec_end; w += 4) {
-        const __m128i hit = _mm_cmpeq_epi32(
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(tl + w)),
-            vlo);
+        const __m128i lo = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(tl + w));
+        __m128i hit = _mm_cmpeq_epi32(lo, vlo);
+        if constexpr (kFindHole)
+            hit = _mm_or_si128(hit, _mm_cmpeq_epi32(lo, vinv));
         int m = _mm_movemask_ps(_mm_castsi128_ps(hit));
         while (m) {
             const unsigned way =
                 w + static_cast<unsigned>(__builtin_ctz(
                     static_cast<unsigned>(m)));
-            if (way >= reserved && t[way] == line_addr)
-                return static_cast<int>(way);
+            if (way >= reserved) {
+                if (t[way] == line_addr)
+                    return static_cast<int>(way);
+                if (kFindHole && *hole < 0 && t[way] == kInvalidTag)
+                    *hole = static_cast<int>(way);
+            }
             m &= m - 1;
         }
     }
-    for (; w < waysTotal; ++w) {
-        if (w >= reserved && t[w] == line_addr)
-            return static_cast<int>(w);
-    }
-#else
-    for (unsigned w = reserved; w < waysTotal; ++w) {
+#endif
+    // The scalar tail (the whole set without SSE2).
+    for (w = std::max(w, reserved); w < waysTotal; ++w) {
         if (t[w] == line_addr)
             return static_cast<int>(w);
+        if (kFindHole && *hole < 0 && t[w] == kInvalidTag)
+            *hole = static_cast<int>(w);
     }
-#endif
     return -1;
 }
 
 int
-Cache::findInvalidWay(unsigned set) const
+Cache::findWay(unsigned set, Addr line_addr) const
 {
-    // First invalid way of the demand partition, or -1 when the set
-    // is full — the fill path's pre-eviction scan, vectorized the
-    // same way as findWay (the sentinel's low word never verifies
-    // against a filled way's full tag).
-    const std::size_t base = lineIndex(set, 0);
-    const Addr *t = tags.data() + base;
-#if defined(__SSE2__)
-    const std::uint32_t *tl = tagLo.data() + base;
-    const __m128i vlo = _mm_set1_epi32(
-        static_cast<int>(kInvalidTagLo));
-    const unsigned vec_end = waysTotal & ~3u;
-    unsigned w = 0;
-    for (; w < vec_end; w += 4) {
-        const __m128i hit = _mm_cmpeq_epi32(
-            _mm_loadu_si128(
-                reinterpret_cast<const __m128i *>(tl + w)),
-            vlo);
-        int m = _mm_movemask_ps(_mm_castsi128_ps(hit));
-        while (m) {
-            const unsigned way =
-                w + static_cast<unsigned>(__builtin_ctz(
-                    static_cast<unsigned>(m)));
-            if (way >= reserved && t[way] == kInvalidTag)
-                return static_cast<int>(way);
-            m &= m - 1;
-        }
-    }
-    for (; w < waysTotal; ++w) {
-        if (w >= reserved && t[w] == kInvalidTag)
-            return static_cast<int>(w);
-    }
-#else
-    for (unsigned w = reserved; w < waysTotal; ++w) {
-        if (t[w] == kInvalidTag)
-            return static_cast<int>(w);
-    }
-#endif
-    return -1;
+    return scanSet<false>(set, line_addr, nullptr);
 }
 
 LookupResult
@@ -183,7 +161,10 @@ Cache::fill(Addr line_addr, Cycle ready_at, PfClass pf_class, PC pf_pc,
             bool dirty)
 {
     unsigned set = setIndex(line_addr);
-    int existing = findWay(set, line_addr);
+    // One pass finds both the way holding the line, if any, and the
+    // lowest invalid demand way a new line would take.
+    int target = -1;
+    int existing = scanSet<true>(set, line_addr, &target);
     if (existing >= 0) {
         // Refill of a present line: merge state. An in-flight line
         // refilled with an earlier ready time takes that earlier
@@ -201,9 +182,7 @@ Cache::fill(Addr line_addr, Cycle ready_at, PfClass pf_class, PC pf_pc,
 
     ++statsData.fills;
 
-    // Prefer an invalid way in the demand partition.
-    int target = findInvalidWay(set);
-
+    // An invalid demand way, when there is one, takes the line.
     Eviction ev;
     if (target < 0) {
         // All demand ways hold valid lines: the candidate set is the

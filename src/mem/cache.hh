@@ -151,17 +151,19 @@ class Cache
      * — the operation every lookup, fill, and invalidate performs —
      * streams through nothing but tags:
      *
-     *  - `tags`: one Addr per line, contiguous per set, so findWay
-     *    scans at most assoc adjacent words (an 8-way set is a single
-     *    64 B cache line of tags). Invalid lines hold kInvalidTag,
-     *    which doubles as the invalid-way marker: no flags byte is
-     *    consulted until after a tag matches.
+     *  - `tags`: one Addr per line, contiguous per set, so a set
+     *    scan reads at most assoc adjacent words (an 8-way set is a
+     *    single 64 B cache line of tags). Invalid lines hold
+     *    kInvalidTag, which doubles as the invalid-way marker: no
+     *    flags byte is consulted until after a tag matches.
      *  - `tagLo`: the low 32 bits of each tag, kept in lockstep with
-     *    `tags`. This is the scan array: on x86-64 findWay compares
+     *    `tags`. This is the scan array: on x86-64 scanSet compares
      *    four ways per SSE2 instruction against it and verifies the
      *    rare low-word match against the full tag, so a whole 16-way
      *    set scans in four vector compares and half the memory
-     *    traffic of the 64-bit array.
+     *    traffic of the 64-bit array. A fill's scan also compares
+     *    against the sentinel's low word, so the same pass that
+     *    looks for the line finds the lowest invalid way.
      *  - `flags`: packed dirty/prefetched/demandTouched bits plus
      *    the 2-bit PfClass, one byte per line (validity has a single
      *    source of truth: the tag sentinel).
@@ -229,8 +231,14 @@ class Cache
         return static_cast<std::size_t>(set) * waysTotal + way;
     }
 
+    /**
+     * The way holding @p line_addr in @p set, or -1. With
+     * kFindHole, the same pass stores the lowest invalid way of the
+     * demand partition (or -1) in *hole.
+     */
+    template <bool kFindHole>
+    int scanSet(unsigned set, Addr line_addr, int *hole) const;
     int findWay(unsigned set, Addr line_addr) const;
-    int findInvalidWay(unsigned set) const;
 
     /** Write a tag through to both the full and the scan array. */
     void

@@ -16,10 +16,10 @@ namespace prophet::pf
 MarkovTable::MarkovTable(unsigned num_sets, unsigned max_ways,
                          std::unique_ptr<mem::ReplacementPolicy> policy)
     : numSets(num_sets), maxWays(max_ways), curWays(max_ways),
-      fps(static_cast<std::size_t>(num_sets) * max_ways
-              * kEntriesPerLine,
+      fps(static_cast<std::size_t>(num_sets) * max_ways * kEntriesPerLine
+              + kFpPad,
           fingerprint(kInvalidAddr)),
-      keys(fps.size(), kInvalidAddr),
+      keys(fps.size() - kFpPad, kInvalidAddr),
       targets(keys.size(), kInvalidAddr),
       priorities(keys.size(), 0),
       setValid(num_sets, 0),
@@ -39,8 +39,7 @@ MarkovTable::findWay(unsigned set, Addr key) const
 {
     // Scan fingerprints; verify a hit against the full key (keys are
     // unique within a set, so the first verified match is the only
-    // one). Invalid slots hold kInvalidAddr in the key array and can
-    // never verify against a real key.
+    // one).
     //
     // The scan is bounded by the set's valid prefix: inserts always
     // fill the lowest invalid slot, replacements refill their victim
@@ -49,54 +48,38 @@ MarkovTable::findWay(unsigned set, Addr key) const
     // [0, setValid[set]). Slots past the prefix hold kInvalidAddr
     // keys and can never verify, so skipping them loses no match —
     // and a partially trained 96-way set scans only what it holds.
-    const std::uint32_t fp = fingerprint(key);
+    const std::uint16_t fp = fingerprint(key);
     const std::size_t base = slotIndex(set, 0);
-    const std::uint32_t *f = fps.data() + base;
+    const std::uint16_t *f = fps.data() + base;
     const Addr *k = keys.data() + base;
     const unsigned limit = setValid[set];
-    // The first few metadata lines scan scalar: trained lookups
-    // mostly resolve early (slots fill lowest-first), and for the
-    // short scans of a resized-down table the early exit beats
-    // vector setup outright. Only the long tail of a near-full
-    // 96-way set is worth vectorizing.
-    constexpr unsigned kScalarHead = 3 * kEntriesPerLine;
-    const unsigned head = std::min(limit, kScalarHead);
-    for (unsigned w = 0; w < head; ++w) {
-        if (f[w] == fp && k[w] == key)
-            return static_cast<int>(w);
-    }
 #if defined(__SSE2__)
-    static_assert(kEntriesPerLine == 12,
-                  "chunked scan assumes 12 fingerprints per line");
-    // Remaining lines chunk-at-a-time: each 12-entry chunk is
-    // reduced to an any-match flag with three SSE2 compares, and
-    // only a chunk whose flag fires is rescanned scalar. Chunks are
-    // visited in order and rescans resolve in order, so the result
-    // is the same first match the scalar loop produces. A chunk may
-    // read a few slots past `limit` (never past the allocation);
-    // their invalid keys cannot verify.
-    const __m128i vfp = _mm_set1_epi32(static_cast<int>(fp));
-    for (unsigned w = kScalarHead; w < limit;
-         w += kEntriesPerLine) {
-        const __m128i a = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(f + w));
-        const __m128i b = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(f + w + 4));
-        const __m128i c = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(f + w + 8));
-        const __m128i hit = _mm_or_si128(
-            _mm_or_si128(_mm_cmpeq_epi32(a, vfp),
-                         _mm_cmpeq_epi32(b, vfp)),
-            _mm_cmpeq_epi32(c, vfp));
-        if (_mm_movemask_epi8(hit)) {
-            for (unsigned j = 0; j < kEntriesPerLine; ++j) {
-                if (f[w + j] == fp && k[w + j] == key)
-                    return static_cast<int>(w + j);
-            }
+    // Eight fingerprints per compare from slot 0. Candidates
+    // resolve in ascending slot order, so the result is the same
+    // first match the scalar loop returns. The last load may read
+    // up to 7 slots past `limit` (the next set's, or the padding
+    // after the last set); the bound check drops them before their
+    // keys are read.
+    const __m128i vfp = _mm_set1_epi16(static_cast<short>(fp));
+    for (unsigned w = 0; w < limit; w += 8) {
+        const __m128i hit = _mm_cmpeq_epi16(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(f + w)),
+            vfp);
+        // movemask yields two bits per 16-bit lane; keep one.
+        unsigned m =
+            static_cast<unsigned>(_mm_movemask_epi8(hit)) & 0x5555u;
+        while (m) {
+            const unsigned way =
+                w + (static_cast<unsigned>(__builtin_ctz(m)) >> 1);
+            if (way >= limit)
+                return -1;
+            if (k[way] == key)
+                return static_cast<int>(way);
+            m &= m - 1;
         }
     }
 #else
-    for (unsigned w = head; w < limit; ++w) {
+    for (unsigned w = 0; w < limit; ++w) {
         if (f[w] == fp && k[w] == key)
             return static_cast<int>(w);
     }

@@ -143,6 +143,18 @@ class MarkovTable
     /** Priority of the entry holding @p key, if present (tests). */
     std::optional<std::uint8_t> priorityOf(Addr key) const;
 
+    /**
+     * 16-bit fold of a key for the scan array (public so tests can
+     * build keys whose fingerprints collide).
+     */
+    static std::uint16_t
+    fingerprint(Addr key)
+    {
+        return static_cast<std::uint16_t>(key ^ (key >> 16)
+                                          ^ (key >> 32)
+                                          ^ (key >> 48));
+    }
+
   private:
     unsigned numSets;
     unsigned maxWays;
@@ -152,21 +164,28 @@ class MarkovTable
 
     /**
      * Entry state, structure-of-arrays: the per-access findWay scan
-     * reads a dense array of 32-bit key fingerprints (one 64 B line
-     * covers 16 candidate ways); only a fingerprint hit is verified
-     * against the full key array, so the common all-miss scan of a
-     * 96-way set touches 6 lines instead of the 24 the old
-     * array-of-structs layout dragged through the cache. Targets and
-     * priorities sit in side arrays touched only after a verified
-     * match. kInvalidAddr in the full-key array marks an invalid
-     * slot (keys are line addresses, which never collide with the
-     * all-ones sentinel); its fingerprint may collide with a real
-     * key's, which the full-key verification rejects.
+     * reads a dense array of 16-bit key fingerprints (one 64 B line
+     * covers 32 candidate ways, one 16-byte vector compare covers
+     * 8); only a fingerprint hit is verified against the full key
+     * array, so the all-miss scan of a full 96-way set touches 3
+     * lines of fingerprints. Targets and priorities sit in side
+     * arrays touched only after a verified match. kInvalidAddr in
+     * the full-key array marks an invalid slot (keys are line
+     * addresses, which never collide with the all-ones sentinel);
+     * fingerprints collide freely, and the full-key verification
+     * rejects every collision.
+     *
+     * `fps` carries kFpPad slots past the last set, so the last
+     * 8-wide load of the last set stays inside the allocation when
+     * maxAssoc() is not a multiple of 8.
      */
-    std::vector<std::uint32_t> fps;
+    std::vector<std::uint16_t> fps;
     std::vector<Addr> keys;
     std::vector<Addr> targets;
     std::vector<std::uint8_t> priorities;
+
+    /** Fingerprints per vector compare, less one. */
+    static constexpr unsigned kFpPad = 7;
 
     /**
      * Valid entries per set. When a set is full (the steady state of
@@ -174,13 +193,6 @@ class MarkovTable
      * outright instead of re-reading every key.
      */
     std::vector<std::uint16_t> setValid;
-
-    /** 32-bit fold of a key for the scan array. */
-    static std::uint32_t
-    fingerprint(Addr key)
-    {
-        return static_cast<std::uint32_t>(key ^ (key >> 32));
-    }
 
     /**
      * Scratch candidate buffer for victim selection, sized maxAssoc()

@@ -4,8 +4,10 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/intmath.hh"
 #include "core/analyzer.hh"
 #include "core/learner.hh"
+#include "core/prophet.hh"
 #include "sim/runner.hh"
 #include "workloads/registry.hh"
 
@@ -253,8 +255,8 @@ void
 validateProphet(const PipelineInstance &p)
 {
     // Numeric ranges/integrality are enforced generically from the
-    // ParamInfo constraints; only the cross-parameter and enum
-    // checks live here.
+    // ParamInfo constraints; only the cross-parameter, enum and
+    // MVB-geometry checks live here.
     if (const auto *features = p.stringList("features")) {
         const auto &known = prophetFeatureNames();
         for (const auto &f : *features)
@@ -268,6 +270,17 @@ validateProphet(const PipelineInstance &p)
             }
     }
     requireOneOf(p, "binary", "profile", {"profile", "none"});
+    // The MVB's sets hold kWays targets each and their count is a
+    // power of two (the range check has already bounded it).
+    constexpr unsigned ways = core::MultiPathVictimBuffer::kWays;
+    const auto entries = static_cast<std::uint64_t>(
+        p.number("mvb_entries", core::ProphetConfig{}.mvbEntries));
+    if (entries % ways != 0 || !isPowerOf2(entries / ways))
+        throw PipelineError(
+            "parameter \"mvb_entries\" of pipeline \"" + p.name
+            + "\" must be " + std::to_string(ways)
+            + " times a power of two (the Multi-path Victim Buffer's "
+              "sets hold " + std::to_string(ways) + " targets)");
     if (const auto *learn = p.stringList("learn")) {
         if (p.string("binary", "profile") == "none")
             throw PipelineError(
@@ -443,11 +456,12 @@ buildRegistry()
             {"degree", ParamValue::Type::Number,
              "chained prefetch degree (default 4)", true, 1.0, 64.0},
             {"mvb_entries", ParamValue::Type::Number,
-             "Multi-path Victim Buffer entries (default 65536)",
-             true, 1.0, 16777216.0},
+             "Multi-path Victim Buffer entries: 4 times a power of "
+             "two (default 65536)",
+             true, core::MultiPathVictimBuffer::kWays, 16777216.0},
             {"mvb_candidates", ParamValue::Type::Number,
              "MVB candidates per entry (default 1, Figure 16c)",
-             true, 1.0, 16.0},
+             true, 1.0, core::MultiPathVictimBuffer::kWays},
             {"features", ParamValue::Type::StringList,
              "active components: replacement insertion mvb resizing "
              "(default all, Figure 19)"},

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "mem/cache.hh"
 
@@ -298,6 +299,61 @@ TEST(Cache, StatsResetKeepsContents)
     c.resetStats();
     EXPECT_EQ(c.stats().demandHits, 0u);
     EXPECT_TRUE(c.contains(2));
+}
+
+TEST(Cache, FillTakesLowestInvalidDemandWay)
+{
+    // Ways 0-1 are reserved (their invalid tags must never take a
+    // fill); invalidate() opens holes at way 3 and the last way.
+    // Fills take the lowest hole first, which the reservation growth
+    // at the end reveals: it drops ways 2-3 and keeps the rest. With
+    // 6 ways the upper hole sits in the scan's scalar tail, with 8
+    // in its second vector compare.
+    for (unsigned assoc : {6u, 8u}) {
+        SCOPED_TRACE(testing::Message() << "assoc " << assoc);
+        Cache c(CacheConfig{"test", 16 * assoc * 64, assoc, 2, 8,
+                            "lru"});
+        c.setReservedWays(2);
+        const unsigned demand = assoc - 2;
+        // Set 0: line i fills way 2 + i.
+        std::vector<Addr> line;
+        for (unsigned i = 0; i < demand; ++i) {
+            line.push_back(16 * (i + 1));
+            EXPECT_FALSE(c.fill(line[i], 0, PfClass::None, kInvalidPC,
+                                false)
+                             .valid);
+            EXPECT_TRUE(c.contains(line[i]));
+        }
+        ASSERT_TRUE(c.invalidate(line[1]).valid);          // way 3
+        ASSERT_TRUE(c.invalidate(line[demand - 1]).valid); // last
+
+        const Addr low = 16 * 100, high = 16 * 101, next = 16 * 102;
+        EXPECT_FALSE(
+            c.fill(low, 0, PfClass::None, kInvalidPC, false).valid);
+        EXPECT_FALSE(
+            c.fill(high, 0, PfClass::None, kInvalidPC, false).valid);
+        // No hole is left: the next fill evicts the LRU line, line 0
+        // in way 2.
+        auto ev = c.fill(next, 0, PfClass::None, kInvalidPC, false);
+        EXPECT_TRUE(ev.valid);
+        EXPECT_EQ(ev.lineAddr, line[0]);
+
+        // Growing the reservation to 4 drops ways 2 and 3: `next`
+        // (way 2) and `low` (way 3, the lower hole). `high` took the
+        // last way and survives with lines 2 to demand - 2.
+        c.setReservedWays(4);
+        EXPECT_FALSE(c.contains(next));
+        EXPECT_FALSE(c.contains(low));
+        EXPECT_TRUE(c.contains(high));
+        for (unsigned i = 2; i + 1 < demand; ++i)
+            EXPECT_TRUE(c.contains(line[i])) << "line " << i;
+
+        // The demand ways are full again, so the next fill evicts the
+        // LRU survivor: line 2, filled before `high`.
+        ev = c.fill(16 * 103, 0, PfClass::None, kInvalidPC, false);
+        EXPECT_TRUE(ev.valid);
+        EXPECT_EQ(ev.lineAddr, line[2]);
+    }
 }
 
 } // anonymous namespace

@@ -264,6 +264,31 @@ TEST(Spec, RejectsBadPipelinesMetricsAndSinks)
     specErr("[]");                             // not an object
 }
 
+TEST(Spec, RejectsMvbGeometriesTheBufferCannotBuild)
+{
+    // The MVB holds 4 targets per set and a power-of-two number of
+    // sets. Anything else must fail validation (exit 3), not abort
+    // the process on the buffer's constructor assertion.
+    auto prophet = [](const std::string &params) {
+        return "{\"workloads\": [\"mcf\"], \"pipelines\":"
+               " [{\"name\": \"prophet\", " + params + "}]}";
+    };
+    auto err = specErr(prophet("\"mvb_candidates\": 5"));
+    EXPECT_NE(err.find("mvb_candidates"), std::string::npos) << err;
+    err = specErr(prophet("\"mvb_entries\": 1000"));
+    EXPECT_NE(err.find("mvb_entries"), std::string::npos) << err;
+    specErr(prophet("\"mvb_entries\": 2"));
+    specErr(prophet("\"mvb_entries\": 12"));
+    // A sweep point is validated the same way.
+    specErr("{\"workloads\": [\"mcf\"], \"pipelines\": [\"prophet\"],"
+            " \"sweep\": {\"param\": \"mvb_candidates\","
+            " \"values\": [1, 8]}}");
+
+    specOk(prophet("\"mvb_candidates\": 4"));
+    specOk(prophet("\"mvb_entries\": 65536"));
+    specOk(prophet("\"mvb_entries\": 4, \"mvb_candidates\": 4"));
+}
+
 TEST(Spec, HashIsContentBased)
 {
     // Aliases, comments and formatting do not change the hash;

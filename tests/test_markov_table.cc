@@ -3,11 +3,16 @@
  * Unit tests for the LLC-resident metadata (Markov) table:
  * insert/lookup/update semantics, way-partition capacity, priority-
  * aware victim filtering (Prophet replacement), the eviction
- * callback feeding the Multi-path Victim Buffer, and resizing.
+ * callback feeding the Multi-path Victim Buffer, and resizing; plus
+ * a randomized differential test of the way scan against a std::map
+ * and fingerprint-collision cases.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <random>
 #include <vector>
 
 #include "mem/replacement.hh"
@@ -214,6 +219,123 @@ TEST(MarkovTable, ChainsComposable)
         cur = *n;
     }
     EXPECT_EQ(chain, (std::vector<Addr>{20, 30, 40}));
+}
+
+/**
+ * Random inserts, updates, lookups, peeks and clears on each
+ * geometry, checked op by op against a std::map. The eviction
+ * callback erases a replaced key from the reference (a target
+ * overwrite keeps its key), so the map stays exact once sets fill
+ * and the replacement policy picks victims. maxWays 1 and 3 give
+ * 12- and 36-slot sets, which are not multiples of the scan's
+ * 8-wide loads.
+ */
+TEST(MarkovTable, DifferentialAgainstMap)
+{
+    for (unsigned max_ways : {1u, 3u, 8u}) {
+        for (bool aware : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "maxWays " << max_ways
+                                            << " aware " << aware);
+            constexpr unsigned kSets = 4;
+            MarkovTable t(kSets, max_ways,
+                          std::make_unique<mem::SrripPolicy>());
+            t.setPriorityAware(aware);
+            std::map<Addr, Addr> ref;
+            Addr inserting = kInvalidAddr;
+            t.setEvictionCallback([&](const MarkovTable::Entry &e) {
+                if (e.key != inserting)
+                    ref.erase(e.key);
+            });
+
+            std::mt19937_64 rng(max_ways * 2 + aware);
+            // A key pool about 1.5x the capacity: lookups both hit
+            // and miss, and sets overflow.
+            std::vector<Addr> pool;
+            const std::uint64_t cap = t.capacityEntries();
+            for (std::uint64_t i = 0; i < cap * 3 / 2; ++i)
+                pool.push_back(rng() >> 24); // 40-bit line addresses
+            std::uint64_t ref_hits = 0;
+            unsigned clears = 0;
+            for (int op = 0; op < 40000; ++op) {
+                const Addr key = pool[rng() % pool.size()];
+                const unsigned kind = rng() % 10000;
+                if (kind < 4500) {
+                    const Addr target = rng() >> 24;
+                    inserting = key;
+                    t.insert(key, target,
+                             static_cast<std::uint8_t>(rng() % 4));
+                    inserting = kInvalidAddr;
+                    ref[key] = target;
+                } else if (kind < 9998) {
+                    auto it = ref.find(key);
+                    std::optional<Addr> want;
+                    if (it != ref.end())
+                        want = it->second;
+                    if (kind < 7500) {
+                        ref_hits += want.has_value();
+                        ASSERT_EQ(t.lookup(key), want) << "op " << op;
+                    } else {
+                        ASSERT_EQ(t.peek(key), want) << "op " << op;
+                    }
+                } else {
+                    t.clear();
+                    ref.clear();
+                    ++clears;
+                }
+                ASSERT_EQ(t.size(), ref.size()) << "op " << op;
+            }
+            EXPECT_EQ(t.stats().hits, ref_hits);
+            EXPECT_GT(t.stats().replacements, 0u);
+            EXPECT_GT(clears, 0u);
+        }
+    }
+}
+
+/**
+ * Keys (a << 16) | (a ^ c) fold to the fingerprint c, and with one
+ * set every key lands in set 0: the scan must verify each fingerprint
+ * hit against the full key. With c the fingerprint of kInvalidAddr,
+ * the invalid slots and the padding after the last set match too, so
+ * only the valid-prefix bound keeps the scan inside the set.
+ */
+TEST(MarkovTable, FingerprintCollisionsResolveByFullKey)
+{
+    const Addr invalid_fp = MarkovTable::fingerprint(kInvalidAddr);
+    for (unsigned max_ways : {1u, 3u}) {
+        for (Addr c : {Addr{0x5a5a}, invalid_fp}) {
+            SCOPED_TRACE(testing::Message() << "maxWays " << max_ways
+                                            << " fp " << c);
+            MarkovTable t(1, max_ways,
+                          std::make_unique<mem::LruPolicy>());
+            const unsigned slots = max_ways * kEntriesPerLine;
+            auto colliding = [c](Addr a) { return (a << 16) | (a ^ c); };
+            for (Addr a = 1; a <= slots + 1; ++a)
+                ASSERT_EQ(MarkovTable::fingerprint(colliding(a)), c);
+
+            // Fill the set exactly: no replacement.
+            for (Addr a = 1; a <= slots; ++a)
+                t.insert(colliding(a), 1000 + a, 0);
+            ASSERT_EQ(t.size(), slots);
+            ASSERT_EQ(t.stats().replacements, 0u);
+            for (Addr a = 1; a <= slots; ++a) {
+                auto got = t.lookup(colliding(a));
+                ASSERT_TRUE(got.has_value()) << "key " << a;
+                EXPECT_EQ(*got, 1000 + a);
+            }
+            // A colliding key that was never inserted misses.
+            EXPECT_FALSE(t.lookup(colliding(slots + 1)).has_value());
+            EXPECT_FALSE(t.peek(colliding(slots + 1)).has_value());
+            EXPECT_EQ(t.stats().hits, slots);
+
+            // A half-full set: the scan stops at its valid prefix.
+            t.clear();
+            for (Addr a = 1; a <= slots / 2; ++a)
+                t.insert(colliding(a), 2000 + a, 0);
+            for (Addr a = 1; a <= slots / 2; ++a)
+                EXPECT_EQ(t.peek(colliding(a)), 2000 + a);
+            EXPECT_FALSE(t.peek(colliding(slots)).has_value());
+        }
+    }
 }
 
 } // anonymous namespace

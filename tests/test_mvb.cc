@@ -29,7 +29,7 @@ TEST(Mvb, RejectsPriorityZeroVictims)
 {
     // Insertion rule: only targets with priority > 0 (acc > EL_ACC)
     // deserve buffer space.
-    MultiPathVictimBuffer mvb(64, 1, 4);
+    MultiPathVictimBuffer mvb(64, 1);
     mvb.offer(entry(100, 200, 0));
     EXPECT_EQ(mvb.stats().inserts, 0u);
     EXPECT_EQ(mvb.stats().rejectedLowPriority, 1u);
@@ -40,7 +40,7 @@ TEST(Mvb, RejectsPriorityZeroVictims)
 
 TEST(Mvb, StoresAndReturnsDisplacedTarget)
 {
-    MultiPathVictimBuffer mvb(64, 1, 4);
+    MultiPathVictimBuffer mvb(64, 1);
     mvb.offer(entry(100, 200, 2));
     std::vector<Addr> out;
     mvb.lookup(100, kInvalidAddr, out);
@@ -53,7 +53,7 @@ TEST(Mvb, ExcludesTableTarget)
 {
     // Figure 9: the table already supplies C; the MVB must only add
     // *different* Markov targets (D).
-    MultiPathVictimBuffer mvb(64, 2, 4);
+    MultiPathVictimBuffer mvb(64, 2);
     mvb.offer(entry(100, 200, 2));
     std::vector<Addr> out;
     mvb.lookup(100, 200, out); // 200 is what the table returned
@@ -62,7 +62,7 @@ TEST(Mvb, ExcludesTableTarget)
 
 TEST(Mvb, MultiplePathsPerKey)
 {
-    MultiPathVictimBuffer mvb(64, 2, 4);
+    MultiPathVictimBuffer mvb(64, 2);
     mvb.offer(entry(100, 200, 2));
     mvb.offer(entry(100, 300, 2));
     std::vector<Addr> out;
@@ -73,7 +73,7 @@ TEST(Mvb, MultiplePathsPerKey)
 TEST(Mvb, CandidateCapEnforced)
 {
     // candidates = 1: a key keeps at most one buffered target.
-    MultiPathVictimBuffer mvb(64, 1, 4);
+    MultiPathVictimBuffer mvb(64, 1);
     mvb.offer(entry(100, 200, 2));
     mvb.offer(entry(100, 300, 2));
     std::vector<Addr> out;
@@ -83,7 +83,7 @@ TEST(Mvb, CandidateCapEnforced)
 
 TEST(Mvb, DuplicateOfferRefreshesCounter)
 {
-    MultiPathVictimBuffer mvb(64, 2, 4);
+    MultiPathVictimBuffer mvb(64, 2);
     mvb.offer(entry(100, 200, 2));
     mvb.offer(entry(100, 200, 2));
     EXPECT_EQ(mvb.stats().inserts, 1u); // no duplicate slot
@@ -93,7 +93,7 @@ TEST(Mvb, FrequentlyUsedTargetSurvivesReplacement)
 {
     // One set of 4 ways shared by aliasing keys: the target whose
     // counter is highest must be retained preferentially.
-    MultiPathVictimBuffer mvb(4, 1, 4); // single set
+    MultiPathVictimBuffer mvb(4, 1); // single set
     mvb.offer(entry(10, 111, 2));
     // Pump its counter.
     std::vector<Addr> out;
@@ -114,7 +114,7 @@ TEST(Mvb, FrequentlyUsedTargetSurvivesReplacement)
 
 TEST(Mvb, InvalidVictimIgnored)
 {
-    MultiPathVictimBuffer mvb(64, 1, 4);
+    MultiPathVictimBuffer mvb(64, 1);
     pf::MarkovTable::Entry e; // invalid
     mvb.offer(e);
     EXPECT_EQ(mvb.stats().inserts, 0u);
@@ -123,7 +123,7 @@ TEST(Mvb, InvalidVictimIgnored)
 TEST(Mvb, StorageBitsPerPaper)
 {
     // 65,536 entries x 43 bits = 344 KB (Section 5.10).
-    MultiPathVictimBuffer mvb(65536, 1, 4);
+    MultiPathVictimBuffer mvb(65536, 1);
     EXPECT_EQ(mvb.storageBits(), 65536ull * 43);
     EXPECT_NEAR(static_cast<double>(mvb.storageBits()) / 8 / 1024,
                 344.0, 1.0);
@@ -131,7 +131,7 @@ TEST(Mvb, StorageBitsPerPaper)
 
 TEST(Mvb, LookupCountsExtraTargets)
 {
-    MultiPathVictimBuffer mvb(64, 2, 4);
+    MultiPathVictimBuffer mvb(64, 2);
     mvb.offer(entry(7, 70, 1));
     mvb.offer(entry(7, 71, 1));
     std::vector<Addr> out;

@@ -448,6 +448,32 @@ TEST_F(ServeDaemonTest, MalformedRequestsAreContained)
     daemon.drainAndStop();
 }
 
+TEST_F(ServeDaemonTest, UnbuildableMvbIsRejectedAndDaemonServesOn)
+{
+    ServeDaemon daemon(opts);
+    daemon.start();
+    // An MVB geometry the buffer cannot build would abort the whole
+    // daemon on the buffer's constructor assertion; spec validation
+    // turns it into an error frame for this request alone.
+    for (const char *param :
+         {"\"mvb_candidates\": 8", "\"mvb_entries\": 1000"}) {
+        SCOPED_TRACE(param);
+        json::Value resp = roundTrip(
+            sock,
+            runRequest(std::string("{\"workloads\": [\"mcf\"],"
+                                   " \"records\": 20000,"
+                                   " \"trace_cache\": false,"
+                                   " \"pipelines\": [{\"name\":"
+                                   " \"prophet\", ")
+                       + param + "}]}"));
+        EXPECT_EQ(frameType(resp), "error");
+        EXPECT_EQ(errorCodeOf(resp), "spec-parse");
+        resp = roundTrip(sock, "{\"type\":\"ping\"}");
+        EXPECT_EQ(frameType(resp), "pong");
+    }
+    daemon.drainAndStop();
+}
+
 TEST_F(ServeDaemonTest, OversizePayloadShedBeforeParsing)
 {
     opts.maxFrameBytes = 1024;

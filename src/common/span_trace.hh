@@ -2,9 +2,9 @@
  * @file
  * Scoped span tracing emitting Chrome trace_event / Perfetto-
  * compatible JSON: `prophet run --trace-out run.trace.json` turns
- * the collector on, every instrumented scope (experiment, baseline
- * warm-up, per-job pipeline runs, trace loads, warmup/measure
- * simulation phases, sink rendering) records a complete ("X") event
+ * the collector on, every instrumented scope (experiment, per-job
+ * pipeline runs, baseline and profile runs, trace loads, simulations,
+ * sink rendering) records a complete ("X") event
  * on its thread's track, and the driver writes the file at the end.
  * Open the result in https://ui.perfetto.dev or chrome://tracing.
  *

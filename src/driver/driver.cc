@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <set>
 #include <thread>
 
 #include "common/cancellation.hh"
@@ -222,25 +221,31 @@ class AttemptScope
 };
 
 /**
- * Run one (workload, pipeline) job with bounded retry: a *transient*
- * failure (trace I/O, cache lock, watchdog timeout — classes where a
- * second try can genuinely succeed) retries with linear backoff up
- * to @p max_attempts total tries; permanent failures and
- * cancellation propagate immediately. The fault points "job.<w>/<p>"
- * and "job-transient.<w>/<p>" let tests fail exactly one job — the
- * latter with a retryable class, so arming it for a single shot
- * exercises the retry-then-succeed path.
+ * Total tries of a job whose attempts fail with a *transient* error
+ * class (isTransientError: trace I/O, cache lock, watchdog timeout),
+ * and the base backoff before retry k (k times this).
+ */
+constexpr unsigned kMaxAttempts = 2;
+constexpr unsigned kRetryBackoffMs = 50;
+
+/**
+ * Run one (workload, pipeline) job and derive the spec's metrics from
+ * its stats, with bounded retry: a *transient* failure of either step
+ * (classes where a second try can genuinely succeed) retries with
+ * linear backoff up to kMaxAttempts total tries; permanent failures
+ * and cancellation propagate immediately. The fault points
+ * "job.<w>/<p>" and "job-transient.<w>/<p>" let tests fail exactly
+ * one job — the latter with a retryable class, so arming it for a
+ * single shot exercises the retry-then-succeed path.
  */
 void
 runJobWithRetry(sim::Runner &runner,
-                const sim::PipelineInstance &inst, JobResult &slot,
-                const CancellationToken &token,
-                JobWatchdog *watchdog, unsigned max_attempts,
-                unsigned backoff_ms)
+                const sim::PipelineInstance &inst,
+                const std::vector<std::string> &metric_names,
+                JobResult &slot, const CancellationToken &token,
+                JobWatchdog *watchdog)
 {
     const std::string job_key = slot.workload + "/" + slot.pipeline;
-    if (max_attempts == 0)
-        max_attempts = 1;
     for (unsigned attempt = 1;; ++attempt) {
         slot.attempts = attempt;
         try {
@@ -257,7 +262,14 @@ runJobWithRetry(sim::Runner &runner,
                     throw Error(ErrorCode::TraceIo,
                                 "injected transient job failure",
                                 std::move(ctx));
-                slot.stats = runner.run(inst, slot.workload);
+                sim::RunStats stats = runner.run(inst, slot.workload);
+                std::vector<std::pair<std::string, double>> values;
+                for (const auto &m : metric_names)
+                    values.emplace_back(
+                        m, computeMetric(runner, m, slot.workload,
+                                         stats));
+                slot.stats = std::move(stats);
+                slot.metrics = std::move(values);
                 return;
             } catch (const Error &e) {
                 // A cancellation caused by this attempt's own
@@ -281,20 +293,18 @@ runJobWithRetry(sim::Runner &runner,
                 throw;
             }
         } catch (const Error &e) {
-            if (!e.transient() || attempt >= max_attempts
+            if (!e.transient() || attempt >= kMaxAttempts
                 || token.cancelled())
                 throw;
             metrics::counter("driver.retries").inc();
             prophet_warnf("  %s: transient failure (%s); retrying "
                           "(attempt %u/%u)",
                           job_key.c_str(), e.what(), attempt + 1,
-                          max_attempts);
-            if (backoff_ms > 0) {
-                metrics::ScopedTimer backoff_timer(
-                    metrics::histogram("phase.retry_backoff_ns"));
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(backoff_ms * attempt));
-            }
+                          kMaxAttempts);
+            metrics::ScopedTimer backoff_timer(
+                metrics::histogram("phase.retry_backoff_ns"));
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(kRetryBackoffMs * attempt));
         }
     }
 }
@@ -397,21 +407,6 @@ class ProgressMonitor
     bool stopping = false;
     std::thread worker;
 };
-
-/** Does any requested output need the per-workload baseline run? */
-bool
-needsBaseline(const ExperimentSpec &spec)
-{
-    for (const auto &m : spec.metrics)
-        if (m == "speedup" || m == "traffic" || m == "coverage")
-            return true;
-    for (const auto &p : spec.pipelines) {
-        const sim::PipelineDef *def = sim::findPipeline(p.name);
-        if (def && def->needsBaseline)
-            return true;
-    }
-    return false;
-}
 
 /** Every spec sink (one table when the spec names none), rendered. */
 std::vector<SinkOutput>
@@ -550,10 +545,11 @@ ExperimentDriver::run()
     // The run's token: the first failure under fail-fast fires it,
     // and so does the caller's shutdown (a signal, a daemon client's
     // disconnect or drain) — the two share one token. Every job
-    // attempt, baseline warm-up and the metric pass polls a private
-    // token chained to it, so either cause reaches in-flight Systems
-    // at their next poll. Polling a token that never fires is
-    // bit-identical, so the no-failure path is unchanged.
+    // attempt polls a private token chained to it, so either cause
+    // reaches in-flight Systems, and jobs waiting on another job's
+    // baseline or profile, at their next poll. Polling a token that
+    // never fires is bit-identical, so the no-failure path is
+    // unchanged.
     CancellationToken local_token;
     CancellationToken &token =
         opts.shutdown ? *opts.shutdown : local_token;
@@ -585,19 +581,19 @@ ExperimentDriver::run()
         }
     }
     std::vector<const JournalEntry *> replay(total_jobs, nullptr);
-    std::set<std::string> replayed_baselines;
     if (journal) {
         for (const JournalEntry &e : journal->entries()) {
-            if (e.kind == JournalEntry::Kind::Baseline) {
-                runner.injectBaseline(e.workload, e.stats);
-                replayed_baselines.insert(e.workload);
-                continue;
-            }
             const std::size_t idx = e.jobIndex;
             // Identity check per entry: hashes collide with
             // near-zero probability, but a journal edited or grown
             // by hand must not inject a wrong slot.
-            if (idx >= total_jobs
+            const bool same_metrics = std::equal(
+                e.metrics.begin(), e.metrics.end(), spec.metrics.begin(),
+                spec.metrics.end(),
+                [](const auto &got, const std::string &want) {
+                    return got.first == want;
+                });
+            if (idx >= total_jobs || !same_metrics
                 || e.workload != spec.workloads[idx / per]
                 || e.pipeline
                     != spec.pipelines[idx % per].resultName()) {
@@ -612,7 +608,7 @@ ExperimentDriver::run()
         for (const auto *e : replay)
             if (e)
                 ++hits;
-        if (hits > 0 || !replayed_baselines.empty())
+        if (hits > 0)
             prophet_infof("%s: resuming — %zu of %zu completed "
                           "job(s) replayed from %s",
                           spec.name.c_str(), hits, total_jobs,
@@ -626,45 +622,14 @@ ExperimentDriver::run()
     if (deadline_s > 0.0)
         watchdog = std::make_unique<JobWatchdog>(deadline_s);
 
-    // Phase 1: baselines, one job per workload, when any metric or
-    // pipeline normalizes to them (keeps the fan-out phase from
-    // computing them redundantly inside racing jobs). A warm-up
-    // failure is not final — the workload's jobs recompute the
-    // baseline themselves and fail individually if it truly cannot
-    // be built — so warm-up always runs keep-going. Baselines
-    // journal too: they are the expensive half of a resumed run.
-    if (needsBaseline(spec)) {
-        auto warm = engine.tryForEach(
-            spec.workloads.size(),
-            [&](std::size_t i) {
-                const std::string &w = spec.workloads[i];
-                span::Span warm_span("baseline " + w, "job");
-                // A deadline applies to baselines as much as to the
-                // jobs they feed.
-                AttemptScope scope(token, watchdog.get(),
-                                   w + "/baseline");
-                const sim::RunStats &stats = runner.baseline(w);
-                if (journal && !replayed_baselines.count(w)) {
-                    JournalEntry e;
-                    e.kind = JournalEntry::Kind::Baseline;
-                    e.workload = w;
-                    e.stats = stats;
-                    journal->append(e);
-                }
-            },
-            sim::SweepEngine::FailurePolicy::KeepGoing);
-        for (std::size_t i = 0; i < warm.size(); ++i)
-            if (!warm[i].ok())
-                prophet_warnf("  baseline warm-up failed for %s; its "
-                              "jobs will retry individually",
-                              spec.workloads[i].c_str());
-    }
-
-    // Phase 2: every (workload x pipeline) as an independent,
-    // fault-isolated job, workload-major. Slots are pre-sized: jobs
-    // write disjoint indices and the merge order is the spec order
-    // by construction. One failing job cannot take down its
-    // siblings; its slot records why it failed instead.
+    // One fan-out: every (workload x pipeline) as an independent,
+    // fault-isolated job, workload-major. Each job runs its pipeline
+    // and derives its own metrics; the Runner computes each trace,
+    // baseline and profile once, and a job needing one that another
+    // job is computing waits for it. Slots are pre-sized: jobs write
+    // disjoint indices and the merge order is the spec order by
+    // construction. One failing job cannot take down its siblings;
+    // its slot records why it failed instead.
     ExperimentReport report;
     report.results.resize(total_jobs);
     std::atomic<std::size_t> jobs_done{0};
@@ -681,10 +646,11 @@ ExperimentDriver::run()
             slot.workload = spec.workloads[i / per];
             slot.pipeline = inst.resultName();
             // A journaled completion replays instead of simulating:
-            // same stats bits, so downstream metrics and sinks are
+            // same stats and metric bits, so the sinks are
             // indistinguishable from a from-scratch run.
             if (replay[i]) {
                 slot.stats = replay[i]->stats;
+                slot.metrics = replay[i]->metrics;
                 slot.attempts = replay[i]->attempts;
                 slot.resumed = true;
                 metrics::counter("journal.hits").inc();
@@ -699,9 +665,8 @@ ExperimentDriver::run()
                 "job " + slot.workload + "/" + slot.pipeline, "job");
             auto t0 = std::chrono::steady_clock::now();
             try {
-                runJobWithRetry(runner, inst, slot, token,
-                                watchdog.get(), opts.maxAttempts,
-                                opts.retryBackoffMs);
+                runJobWithRetry(runner, inst, spec.metrics, slot,
+                                token, watchdog.get());
             } catch (...) {
                 // Failed jobs still report their duration and count
                 // toward progress; the failure handling below fills
@@ -714,12 +679,12 @@ ExperimentDriver::run()
             jobs_done.fetch_add(1, std::memory_order_relaxed);
             if (journal) {
                 JournalEntry e;
-                e.kind = JournalEntry::Kind::Job;
                 e.jobIndex = static_cast<std::uint32_t>(i);
                 e.workload = slot.workload;
                 e.pipeline = slot.pipeline;
                 e.attempts = slot.attempts;
                 e.stats = slot.stats;
+                e.metrics = slot.metrics;
                 journal->append(e);
             }
             // The per-job line would fight the monitor's single
@@ -772,27 +737,6 @@ ExperimentDriver::run()
     for (const auto &r : report.results)
         if (r.resumed)
             ++report.resumedJobs;
-
-    // Metric derivation is sequential: baselines are cached by now
-    // and the division is trivial. Still fault-isolated per job — a
-    // metric that needs an uncomputable baseline fails that job, not
-    // the run — and cancellable like any job, should it have to
-    // simulate that baseline.
-    for (auto &r : report.results) {
-        if (!r.ok)
-            continue;
-        AttemptScope scope(token, nullptr, r.workload + "/metrics");
-        try {
-            for (const auto &m : spec.metrics)
-                r.metrics.emplace_back(
-                    m, computeMetric(runner, m, r.workload, r.stats));
-        } catch (...) {
-            sim::SweepEngine::JobFailure f;
-            f.error = std::current_exception();
-            recordFailure(r, f, interrupted);
-            ++report.failedJobs;
-        }
-    }
 
     auto elapsed = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - start);

@@ -1,13 +1,14 @@
 /**
  * @file
  * The experiment driver: expands a declarative ExperimentSpec into
- * (workload x pipeline) SweepEngine jobs, runs them across the
- * thread pool, derives the requested metrics, and renders the
- * spec's sinks to bytes — in spec order, so output is independent of
- * scheduling. The `prophet` CLI, the serve daemon, and the
- * end-to-end and golden tests all take this one path; the caller
- * decides where the rendered bytes go (driver/sink.hh
- * writeSinkOutput, or a daemon response frame).
+ * (workload x pipeline) jobs, runs them as one SweepEngine fan-out
+ * across the thread pool — each job runs its pipeline and derives the
+ * requested metrics, sharing the Runner's once-computed traces,
+ * baselines and profiles — and renders the spec's sinks to bytes, in
+ * spec order, so output is independent of scheduling. The `prophet`
+ * CLI, the serve daemon, and the end-to-end and golden tests all take
+ * this one path; the caller decides where the rendered bytes go
+ * (driver/sink.hh writeSinkOutput, or a daemon response frame).
  */
 
 #ifndef PROPHET_DRIVER_DRIVER_HH
@@ -39,17 +40,6 @@ struct DriverOptions
     /** -1 spec value, 0 fail-fast, 1 keep-going (--keep-going). */
     int keepGoing = -1;
 
-    /**
-     * Per-job simulation attempts: a job failing with a *transient*
-     * error class (isTransientError — trace I/O, cache lock) is
-     * retried with backoff up to this many total tries. Permanent
-     * errors never retry.
-     */
-    unsigned maxAttempts = 2;
-
-    /** Base backoff before retry k is k * this (0 in tests). */
-    unsigned retryBackoffMs = 50;
-
     // ---- crash-safe sweeps (all default-off: a run with none of
     // these set produces byte-identical outputs to one without) ----
 
@@ -70,7 +60,7 @@ struct DriverOptions
      * Per-job watchdog deadline in seconds. < 0 defers to the
      * spec's "deadline_s"; 0 forces the watchdog off; > 0 overrides
      * (--job-timeout). An expired job is cancelled and recorded as
-     * a transient JobTimeout failure (retried once by default).
+     * a transient JobTimeout failure (retried once).
      */
     double jobTimeoutS = -1.0;
 

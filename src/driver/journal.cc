@@ -18,7 +18,7 @@ namespace
 
 constexpr std::uint32_t kFileMagic = 0x4C4E4A50; // "PJNL"
 constexpr std::uint32_t kEntryMagic = 0x454A5250; // "PRJE"
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 
 // header: magic, version, spec result hash
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
@@ -124,11 +124,9 @@ struct ByteReader
 };
 
 /**
- * The full RunStats, field by field. Every statistic a sink or a
- * downstream pipeline can consume must round-trip bit-exactly — the
- * per-PC miss map included, because RPG2 kernel identification reads
- * the *baseline's* pcMisses — or a resumed run would diverge from a
- * from-scratch run.
+ * The full RunStats, field by field. Every statistic a sink can
+ * consume must round-trip bit-exactly — the per-PC miss map included
+ * — or a resumed run would diverge from a from-scratch run.
  */
 void
 putStats(ByteWriter &w, const sim::RunStats &s)
@@ -222,12 +220,16 @@ std::string
 serializeEntry(const JournalEntry &e)
 {
     ByteWriter payload;
-    payload.put8(static_cast<std::uint8_t>(e.kind));
     payload.put32(e.jobIndex);
     payload.putString(e.workload);
     payload.putString(e.pipeline);
     payload.put32(e.attempts);
     putStats(payload, e.stats);
+    payload.put32(static_cast<std::uint32_t>(e.metrics.size()));
+    for (const auto &[name, value] : e.metrics) {
+        payload.putString(name);
+        payload.putDouble(value);
+    }
 
     ByteWriter frame;
     frame.put32(kEntryMagic);
@@ -242,17 +244,22 @@ parsePayload(const char *data, std::size_t size)
 {
     ByteReader r{data, size};
     JournalEntry e;
-    std::uint8_t kind = r.get8();
-    if (kind > static_cast<std::uint8_t>(JournalEntry::Kind::Baseline))
-        throw Error(ErrorCode::JournalCorrupt,
-                    "unknown entry kind "
-                        + std::to_string(unsigned(kind)));
-    e.kind = static_cast<JournalEntry::Kind>(kind);
     e.jobIndex = r.get32();
     e.workload = r.getString();
     e.pipeline = r.getString();
     e.attempts = r.get32();
     e.stats = getStats(r);
+    std::uint32_t n = r.get32();
+    // At least 12 bytes per metric (name length + value): a corrupt
+    // count cannot out-allocate the payload it must fit inside.
+    if (n > r.left / 12)
+        throw Error(ErrorCode::JournalCorrupt,
+                    "metric count exceeds payload");
+    e.metrics.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+        std::string name = r.getString();
+        e.metrics.emplace_back(std::move(name), r.getDouble());
+    }
     return e;
 }
 

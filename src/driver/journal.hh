@@ -1,9 +1,12 @@
 /**
  * @file
  * The crash-safe result journal: an append-only binary file the
- * experiment driver writes one entry to per completed job (and per
- * warmed baseline), so a sweep killed mid-run — SIGTERM, OOM, power —
- * resumes from its last completed job instead of starting over.
+ * experiment driver writes one entry to per completed job — its stats
+ * and its derived metrics — so a sweep killed mid-run — SIGTERM, OOM,
+ * power — resumes from its last completed job instead of starting
+ * over. A replayed job re-derives nothing, so a workload's baseline
+ * is simulated again on resume only when one of the jobs that need it
+ * had not completed.
  *
  * Durability model, in the spirit of the trace cache's frame format:
  *
@@ -19,8 +22,8 @@
  *    job simply re-simulates.
  *
  * Entries serialize the full RunStats — including the per-PC miss
- * map, which downstream RPG2 kernel identification consumes — so a
- * resumed run's merged output is bit-identical to a from-scratch run
+ * map — and every metric's double bit for bit, so a resumed run's
+ * merged output is bit-identical to a from-scratch run
  * (regression-gated in tests/test_journal.cc). The format is
  * host-endian: a journal is a same-machine resume artifact, not an
  * interchange format.
@@ -33,6 +36,7 @@
 #include <cstdio>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/system.hh"
@@ -40,24 +44,18 @@
 namespace prophet::driver
 {
 
-/** One replayable journal record. */
+/** One replayable journal record: a completed job. */
 struct JournalEntry
 {
-    enum class Kind : std::uint8_t
-    {
-        Job = 0,      ///< one (workload, pipeline) slot's stats
-        Baseline = 1, ///< a warmed per-workload baseline run
-    };
-
-    Kind kind = Kind::Job;
-
-    /** Job-matrix slot index (unused for Baseline entries). */
-    std::uint32_t jobIndex = 0;
+    std::uint32_t jobIndex = 0; ///< job-matrix slot index
 
     std::string workload;
-    std::string pipeline; ///< result name; empty for Baseline
+    std::string pipeline; ///< result name
     unsigned attempts = 1;
     sim::RunStats stats;
+
+    /** The spec's metrics, in spec order: name and value. */
+    std::vector<std::pair<std::string, double>> metrics;
 };
 
 /**

@@ -224,7 +224,7 @@ expandSweep(const json::Value &v,
 
 /**
  * Canonical JSON of one pipeline instance. Plain instances stay the
- * bare name (so pre-registry spec hashes are unchanged); everything
+ * bare name (so pre-registry result hashes are unchanged); everything
  * else becomes the object form with parameters in sorted key order.
  * The result hash excludes the label — it names a column, it cannot
  * change a number.
@@ -572,13 +572,13 @@ ExperimentSpec::toJson() const
     if (warmupRecords != kWarmupDefault)
         root.set("warmup_records", json::Value(warmupRecords));
     // Emitted only when enabled: pre-sampling specs keep their
-    // canonical form (and hash) byte-identical.
+    // canonical form byte-identical.
     if (sampling.enabled)
         root.set("sampling", samplingToJson(sampling));
     root.set("trace_cache", json::Value(traceCache));
     // Emitted only when set: the default leaves the canonical form
-    // (and thus hash() and archived spec dumps) byte-identical to
-    // pre-keep_going documents.
+    // (and thus archived spec dumps) byte-identical to pre-keep_going
+    // documents.
     if (keepGoing)
         root.set("keep_going", json::Value(true));
     if (deadlineS > 0.0)
@@ -593,26 +593,6 @@ ExperimentSpec::toJson() const
     }
     root.set("sinks", std::move(sink_arr));
     return root;
-}
-
-namespace
-{
-
-std::uint64_t
-hashDump(const std::string &text)
-{
-    return fnv1a64(text.data(), text.size());
-}
-
-} // anonymous namespace
-
-std::uint64_t
-ExperimentSpec::hash() const
-{
-    // FNV-1a 64 over the canonical compact dump: two spec files that
-    // expand to the same experiment hash identically, regardless of
-    // aliases, comments or formatting.
-    return hashDump(json::dump(toJson()));
 }
 
 std::uint64_t
@@ -640,7 +620,11 @@ ExperimentSpec::resultHash(std::size_t effective_records) const
     // only in schedule must never compare as bit-identical.
     if (sampling.enabled)
         root.set("sampling", samplingToJson(sampling));
-    return hashDump(json::dump(root));
+    // FNV-1a 64 over the canonical compact dump: two spec files that
+    // expand to the same experiment hash identically, regardless of
+    // aliases, comments or formatting.
+    const std::string text = json::dump(root);
+    return fnv1a64(text.data(), text.size());
 }
 
 sim::SystemConfig

@@ -154,13 +154,10 @@ struct ExperimentSpec
 
     /**
      * Canonical JSON form: every field, fully expanded and in fixed
-     * key order, so the hash identifies the experiment's content
+     * key order, so the dump identifies the experiment's content
      * regardless of spelling, comments, or key order in the file.
      */
     json::Value toJson() const;
-
-    /** FNV-1a 64 over the compact dump of toJson(). */
-    std::uint64_t hash() const;
 
     /**
      * Identity of the experiment's *results*: hashes only the

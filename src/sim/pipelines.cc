@@ -368,7 +368,6 @@ buildRegistry()
         PipelineDef d;
         d.name = "baseline";
         d.displayName = "Baseline";
-        d.needsBaseline = true;
         d.run = [](Runner &r, const PipelineInstance &,
                    const std::string &w) { return r.baseline(w); };
         defs.push_back(std::move(d));
@@ -377,7 +376,6 @@ buildRegistry()
         PipelineDef d;
         d.name = "rpg2";
         d.displayName = "RPG2";
-        d.needsBaseline = true; // kernel identification profiles it
         d.run = [](Runner &r, const PipelineInstance &,
                    const std::string &w) {
             return r.runRpg2(w).stats;

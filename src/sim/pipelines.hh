@@ -131,8 +131,6 @@ struct PipelineDef
 {
     std::string name;        ///< canonical spec name
     std::string displayName; ///< figure column title
-    /** Normalizes to / consults the per-workload baseline run. */
-    bool needsBaseline = false;
     std::vector<ParamInfo> params;
     /** Extra semantic checks beyond key/type (may be null). */
     std::function<void(const PipelineInstance &)> validate;

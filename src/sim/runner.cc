@@ -1,5 +1,7 @@
 #include "sim/runner.hh"
 
+#include <chrono>
+
 #include "common/log.hh"
 #include "common/metrics.hh"
 #include "common/span_trace.hh"
@@ -29,23 +31,14 @@ namespace
  * thread — including nested baseline/profile runs — poll this token.
  */
 thread_local const CancellationToken *tl_job_cancel = nullptr;
-} // anonymous namespace
 
-void
-Runner::setThreadJobCancellation(const CancellationToken *token)
-{
-    tl_job_cancel = token;
-}
+/**
+ * How often a caller waiting on another thread's computation checks
+ * its own job token. Tokens carry no wake-up, so a fired token is
+ * seen within one interval.
+ */
+constexpr std::chrono::milliseconds kWaitPoll{2};
 
-void
-Runner::injectBaseline(const std::string &workload, RunStats stats)
-{
-    std::lock_guard<std::mutex> lock(cacheMu);
-    baselines.emplace(workload, std::move(stats));
-}
-
-namespace
-{
 /**
  * Estimated resident footprint of one trace: the four SoA arrays
  * (pc[] + addr[] + precomputed lineAddr[] at 8 bytes each, packed
@@ -61,58 +54,100 @@ residentBytes(const trace::Trace &t)
 } // anonymous namespace
 
 void
-Runner::ensureWorkload(const std::string &workload)
+Runner::setThreadJobCancellation(const CancellationToken *token)
 {
-    std::shared_ptr<trace::TraceCache> disk;
-    {
-        std::lock_guard<std::mutex> lock(cacheMu);
-        if (traces.count(workload)) {
-            // Residency hit: the serve daemon's warm-request payoff
-            // (the trace load the second request never pays), and
-            // the tick evictLruTrace orders its LRU scan by.
-            static metrics::Counter &resident_hits =
-                metrics::counter("runner.trace_resident_hits");
-            resident_hits.inc();
-            lastUse[workload] = ++useTick;
-            return;
-        }
-        disk = cache;
-    }
-    // Generate outside the lock: generation is deterministic per
-    // workload name, so racing workers build identical traces and
-    // the first insert wins (the loser's copy is discarded).
-    // Constructing the generator is cheap and always happens — the
-    // resolver lives on the generator — but the expensive generate()
-    // is skipped when the on-disk cache has the trace.
-    span::Span load_span("trace-load " + workload, "trace");
-    metrics::ScopedTimer load_timer(
-        metrics::histogram("phase.trace_load_ns"));
-    auto gen = workloads::makeWorkload(workload, recordsOverride);
-    trace::Trace generated;
-    if (!disk || !disk->load(workload, recordsOverride, generated)) {
-        generated = gen->generate();
-        metrics::counter("runner.trace_generated").inc();
-        // A failed store is not a run failure — the freshly generated
-        // trace is in hand — but it means the next run regenerates,
-        // so surface it.
-        if (disk
-            && !disk->store(workload, recordsOverride, generated)) {
-            std::string msg = "trace-cache: store failed for "
-                + workload
-                + " (disk full or I/O error); trace will be "
-                  "regenerated next run";
-            prophet_warn(msg.c_str());
-        }
-    }
-    auto tr =
-        std::make_shared<const trace::Trace>(std::move(generated));
+    tl_job_cancel = token;
+}
 
+template <typename V, typename Compute>
+std::shared_ptr<const V>
+Runner::computeOnce(OnceMap<V> &map, const std::string &key,
+                    Compute &&compute)
+{
+    std::unique_lock<std::mutex> lock(cacheMu);
+    // Look the key up again after every wait: the entry may have been
+    // filled, abandoned by a computation that threw, or evicted.
+    for (auto it = map.find(key); it != map.end(); it = map.find(key)) {
+        if (it->second)
+            return it->second;
+        if (tl_job_cancel && tl_job_cancel->cancelled()) {
+            ErrorContext ctx;
+            ctx.workload = key;
+            throw Error(ErrorCode::Cancelled,
+                        "cancelled while waiting for another job's "
+                        "computation",
+                        std::move(ctx));
+        }
+        cacheFilled.wait_for(lock, kWaitPoll);
+    }
+    // First caller: claim the key, then compute outside the lock.
+    map.emplace(key, nullptr);
+    lock.unlock();
+    std::shared_ptr<const V> value;
+    try {
+        value = std::make_shared<V>(compute());
+    } catch (...) {
+        lock.lock();
+        map.erase(key);
+        lock.unlock();
+        cacheFilled.notify_all();
+        throw;
+    }
+    lock.lock();
+    map[key] = value;
+    lock.unlock();
+    cacheFilled.notify_all();
+    return value;
+}
+
+std::shared_ptr<const Runner::Workload>
+Runner::workloadEntry(const std::string &workload)
+{
+    bool loaded = false;
+    std::shared_ptr<const Workload> entry =
+        computeOnce(workloadCache, workload, [&] {
+            loaded = true;
+            std::shared_ptr<trace::TraceCache> disk;
+            {
+                std::lock_guard<std::mutex> lock(cacheMu);
+                disk = cache;
+            }
+            // Constructing the generator is cheap and always happens
+            // — the resolver lives on the generator — but the
+            // expensive generate() is skipped when the on-disk cache
+            // has the trace.
+            span::Span load_span("trace-load " + workload, "trace");
+            metrics::ScopedTimer load_timer(
+                metrics::histogram("phase.trace_load_ns"));
+            Workload w{workloads::makeWorkload(workload, recordsOverride),
+                       {}};
+            if (!disk || !disk->load(workload, recordsOverride, w.trace)) {
+                w.trace = w.generator->generate();
+                metrics::counter("runner.trace_generated").inc();
+                // A failed store is not a run failure — the freshly
+                // generated trace is in hand — but it means the next
+                // run regenerates, so surface it.
+                if (disk
+                    && !disk->store(workload, recordsOverride, w.trace)) {
+                    std::string msg = "trace-cache: store failed for "
+                        + workload
+                        + " (disk full or I/O error); trace will be "
+                          "regenerated next run";
+                    prophet_warn(msg.c_str());
+                }
+            }
+            return w;
+        });
+    if (!loaded) {
+        // Residency hit: the serve daemon's warm-request payoff (the
+        // trace load the second request never pays).
+        static metrics::Counter &resident_hits =
+            metrics::counter("runner.trace_resident_hits");
+        resident_hits.inc();
+    }
     std::lock_guard<std::mutex> lock(cacheMu);
-    auto [it, inserted] = traces.emplace(workload, std::move(tr));
-    (void)it;
-    if (inserted)
-        generators.emplace(workload, std::move(gen));
     lastUse[workload] = ++useTick;
+    return entry;
 }
 
 std::vector<Runner::ResidentTrace>
@@ -120,14 +155,16 @@ Runner::residentTraces()
 {
     std::lock_guard<std::mutex> lock(cacheMu);
     std::vector<ResidentTrace> out;
-    out.reserve(traces.size());
-    for (const auto &[w, tr] : traces) {
+    out.reserve(workloadCache.size());
+    for (const auto &[w, entry] : workloadCache) {
+        if (!entry)
+            continue; // still loading
         ResidentTrace r;
         r.workload = w;
-        r.bytes = residentBytes(*tr);
+        r.bytes = residentBytes(entry->trace);
         auto it = lastUse.find(w);
         r.lastUse = it == lastUse.end() ? 0 : it->second;
-        r.inUse = tr.use_count() > 1;
+        r.inUse = entry.use_count() > 1;
         out.push_back(std::move(r));
     }
     return out;
@@ -138,9 +175,10 @@ Runner::residentTraceBytes()
 {
     std::lock_guard<std::mutex> lock(cacheMu);
     std::size_t total = 0;
-    for (const auto &[w, tr] : traces) {
+    for (const auto &[w, entry] : workloadCache) {
         (void)w;
-        total += residentBytes(*tr);
+        if (entry)
+            total += residentBytes(entry->trace);
     }
     return total;
 }
@@ -149,14 +187,14 @@ std::size_t
 Runner::evictLruTrace()
 {
     std::lock_guard<std::mutex> lock(cacheMu);
-    auto victim = traces.end();
+    auto victim = workloadCache.end();
     std::uint64_t oldest = ~std::uint64_t{0};
-    for (auto it = traces.begin(); it != traces.end(); ++it) {
-        // use_count > 1 = some run still holds the shared_ptr
-        // (runConfig pins it for the duration of the simulation);
-        // evicting would not free memory and would orphan the
-        // generator whose resolver that run may be using.
-        if (it->second.use_count() > 1)
+    for (auto it = workloadCache.begin(); it != workloadCache.end();
+         ++it) {
+        // A null entry is still loading. use_count > 1 = some run
+        // still holds the entry (runConfig pins it for the duration
+        // of the simulation); evicting would not free memory.
+        if (!it->second || it->second.use_count() > 1)
             continue;
         auto lu = lastUse.find(it->first);
         std::uint64_t tick = lu == lastUse.end() ? 0 : lu->second;
@@ -165,72 +203,54 @@ Runner::evictLruTrace()
             victim = it;
         }
     }
-    if (victim == traces.end())
+    if (victim == workloadCache.end())
         return 0;
-    std::size_t freed = residentBytes(*victim->second);
+    std::size_t freed = residentBytes(victim->second->trace);
     prophet_infof("runner: evicting resident trace %s (%zu bytes)",
                   victim->first.c_str(), freed);
-    generators.erase(victim->first);
     lastUse.erase(victim->first);
-    traces.erase(victim);
+    workloadCache.erase(victim);
     return freed;
 }
 
 const trace::Trace &
 Runner::traceFor(const std::string &workload)
 {
-    return *traceShared(workload);
-}
-
-std::shared_ptr<const trace::Trace>
-Runner::traceShared(const std::string &workload)
-{
-    ensureWorkload(workload);
-    std::lock_guard<std::mutex> lock(cacheMu);
-    return traces.at(workload);
+    return workloadEntry(workload)->trace;
 }
 
 const trace::IndirectResolver *
 Runner::resolverFor(const std::string &workload)
 {
-    ensureWorkload(workload);
-    std::lock_guard<std::mutex> lock(cacheMu);
     // The generator itself is immutable after generate(); resolver()
     // hands out a const view safe for concurrent use.
-    return generators.at(workload)->resolver();
+    return workloadEntry(workload)->generator->resolver();
 }
 
 RunStats
 Runner::runConfig(const std::string &workload, const SystemConfig &cfg)
 {
-    // Keep the trace alive independently of the cache map; each job
-    // simulates its own System over the shared immutable trace.
-    std::shared_ptr<const trace::Trace> tr = traceShared(workload);
+    // Pin the workload for the whole simulation; each job simulates
+    // its own System over the shared immutable trace.
+    std::shared_ptr<const Workload> entry = workloadEntry(workload);
     span::Span sim_span("simulate " + workload, "sim");
-    System system(cfg, resolverFor(workload));
+    System system(cfg, entry->generator->resolver());
     system.setCancellation(tl_job_cancel);
-    return system.run(*tr);
+    return system.run(entry->trace);
 }
 
 const RunStats &
 Runner::baseline(const std::string &workload)
 {
-    {
-        std::lock_guard<std::mutex> lock(cacheMu);
-        auto it = baselines.find(workload);
-        if (it != baselines.end())
-            return it->second;
-    }
-    SystemConfig cfg = base;
-    cfg.l2Pf = L2PfKind::None;
-    cfg.rpg2Plan = rpg2::Rpg2Plan{};
-    // Simulate outside the lock; concurrent callers compute the same
-    // deterministic stats and the first emplace wins. std::map nodes
-    // are stable, so returned references stay valid for the Runner's
-    // lifetime.
-    RunStats stats = runConfig(workload, cfg);
-    std::lock_guard<std::mutex> lock(cacheMu);
-    return baselines.emplace(workload, std::move(stats)).first->second;
+    // The entry is never dropped once filled, so the reference stays
+    // valid for the Runner's lifetime.
+    return *computeOnce(baselineCache, workload, [&] {
+        span::Span baseline_span("baseline " + workload, "sim");
+        SystemConfig cfg = base;
+        cfg.l2Pf = L2PfKind::None;
+        cfg.rpg2Plan = rpg2::Rpg2Plan{};
+        return runConfig(workload, cfg);
+    });
 }
 
 RunStats
@@ -248,35 +268,27 @@ Runner::run(const PipelineInstance &pipeline,
 core::ProfileSnapshot
 Runner::profileWorkload(const std::string &workload)
 {
-    {
-        std::lock_guard<std::mutex> lock(cacheMu);
-        auto it = profiles.find(workload);
-        if (it != profiles.end())
-            return it->second;
-    }
-    std::shared_ptr<const trace::Trace> tr = traceShared(workload);
-    span::Span profile_span("profile " + workload, "sim");
-    SystemConfig cfg = base;
-    cfg.l2Pf = L2PfKind::Simplified;
-    // Profiling is the offline compile step that produces the
-    // optimized binary's hints: it must see the whole access stream
-    // regardless of how the timing simulation is sampled, or sampled
-    // Prophet runs would measure a crippled binary, not a sampled
-    // machine.
-    cfg.sampling = SamplingConfig{};
-    // Published under "phase.profile_ns": the offline pass is a
-    // per-workload cost amortized across a sweep, not part of the
-    // timing-simulation throughput the phase split measures.
-    cfg.profilingRun = true;
-    System system(cfg, resolverFor(workload));
-    system.setCancellation(tl_job_cancel);
-    system.run(*tr);
-    prophet_assert(system.prophet() != nullptr);
-    core::ProfileSnapshot snap = system.prophet()->takeSnapshot();
-    // Concurrent profilers compute the same deterministic snapshot;
-    // the first emplace wins and the caller gets a copy either way.
-    std::lock_guard<std::mutex> lock(cacheMu);
-    return profiles.emplace(workload, std::move(snap)).first->second;
+    return *computeOnce(profileCache, workload, [&] {
+        std::shared_ptr<const Workload> entry = workloadEntry(workload);
+        span::Span profile_span("profile " + workload, "sim");
+        SystemConfig cfg = base;
+        cfg.l2Pf = L2PfKind::Simplified;
+        // Profiling is the offline compile step that produces the
+        // optimized binary's hints: it must see the whole access
+        // stream regardless of how the timing simulation is sampled,
+        // or sampled Prophet runs would measure a crippled binary,
+        // not a sampled machine.
+        cfg.sampling = SamplingConfig{};
+        // Published under "phase.profile_ns": the offline pass is a
+        // per-workload cost amortized across a sweep, not part of the
+        // timing-simulation throughput the phase split measures.
+        cfg.profilingRun = true;
+        System system(cfg, entry->generator->resolver());
+        system.setCancellation(tl_job_cancel);
+        system.run(entry->trace);
+        prophet_assert(system.prophet() != nullptr);
+        return system.prophet()->takeSnapshot();
+    });
 }
 
 ProphetOutcome
@@ -309,15 +321,12 @@ Runner::runRpg2(const std::string &workload)
 {
     Rpg2Outcome out;
     const RunStats &base_stats = baseline(workload);
-    // Pin the trace for the whole pipeline: kernel identification
-    // reads it outside runConfig, and a pinned trace can never be
+    // Pin the workload for the whole pipeline: kernel identification
+    // reads it outside runConfig, and a pinned entry can never be
     // evicted from under us by a concurrent evictLruTrace.
-    std::shared_ptr<const trace::Trace> tr = traceShared(workload);
-    const trace::Trace &t = *tr;
-    const trace::IndirectResolver *resolver = resolverFor(workload);
-
-    out.kernels =
-        rpg2::identifyKernels(t, base_stats.pcMisses, resolver);
+    std::shared_ptr<const Workload> entry = workloadEntry(workload);
+    out.kernels = rpg2::identifyKernels(
+        entry->trace, base_stats.pcMisses, entry->generator->resolver());
     if (out.kernels.empty()) {
         // No qualified kernels (mcf/omnetpp/soplex): RPG2 leaves the
         // binary unchanged, so performance equals the baseline.

@@ -9,6 +9,7 @@
 #ifndef PROPHET_SIM_RUNNER_HH
 #define PROPHET_SIM_RUNNER_HH
 
+#include <condition_variable>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -42,21 +43,24 @@ struct Rpg2Outcome
 };
 
 /**
- * The experiment runner. One instance caches traces and baseline
- * runs across the jobs of a driver run (or, resident in the serve
- * daemon, across requests).
+ * The experiment runner. One instance caches traces, baseline runs
+ * and profiles across the jobs of a driver run (or, resident in the
+ * serve daemon, across requests).
  *
  * Thread safety: all public methods may be called concurrently from
- * sweep-engine workers. Traces are generated once, stored immutably
- * behind shared_ptr<const Trace>, and shared by every System run;
- * the generation and baseline caches are mutex-guarded. When two
- * workers race to fill a cache slot, both compute the (deterministic)
- * value and the first insert wins, so results never depend on
- * scheduling.
+ * sweep-engine workers. Each workload's trace (with its generator),
+ * baseline and profile is computed at most once: the first caller
+ * computes it outside the cache lock, and concurrent callers wait for
+ * it instead of duplicating the work. A computation that throws,
+ * including one its own job cancelled, caches nothing, and a waiter
+ * then computes the value itself. Values are deterministic per
+ * workload, so results never depend on scheduling; baselines and
+ * profiles depend only on traces, so waits cannot form a cycle.
  *
- * A Runner holds no cancellation token: every System it builds polls
- * the calling thread's job token (setThreadJobCancellation), so
- * concurrent runs sharing one resident Runner cancel independently.
+ * A Runner holds no cancellation token: every System it builds, and
+ * every wait for another caller's computation, polls the calling
+ * thread's job token (setThreadJobCancellation), so concurrent runs
+ * sharing one resident Runner cancel independently.
  */
 class Runner
 {
@@ -83,7 +87,8 @@ class Runner
 
     /**
      * Per-thread job token: every System built on the *calling
-     * thread* polls @p token and aborts with
+     * thread*, and every wait of that thread for a value another
+     * thread is computing, polls @p token and aborts with
      * Error(ErrorCode::Cancelled) once it fires, until the token is
      * cleared (nullptr). The driver scopes one private token around
      * each job attempt, chained to its run's token, so one Runner
@@ -94,23 +99,8 @@ class Runner
     static void setThreadJobCancellation(
         const CancellationToken *token);
 
-    /**
-     * Seed the baseline cache with externally obtained stats (the
-     * resume journal's replayed baselines), so metric derivation and
-     * RPG2 on a resumed run skip the re-simulation. First insert
-     * wins, matching the concurrent-compute semantics of baseline().
-     */
-    void injectBaseline(const std::string &workload, RunStats stats);
-
     /** The (cached) trace of a workload. */
     const trace::Trace &traceFor(const std::string &workload);
-
-    /**
-     * Shared ownership of the immutable trace, for callers that
-     * outlive or run concurrently with this Runner's cache.
-     */
-    std::shared_ptr<const trace::Trace>
-    traceShared(const std::string &workload);
 
     /** The workload's indirect resolver (may be nullptr). */
     const trace::IndirectResolver *
@@ -184,12 +174,12 @@ class Runner
 
     /**
      * Evict the least-recently-used resident trace that no run
-     * currently pins (shared_ptr use count 1). Returns the bytes
-     * freed, 0 when nothing is evictable. The next request for the
-     * workload transparently reloads from the on-disk trace cache
-     * (or regenerates). Callers that hand out unpinned references
-     * (the serve daemon) must only evict while no request is in
-     * flight; pinned traces are skipped regardless.
+     * currently pins (shared_ptr use count 1) and no caller is still
+     * loading. Returns the bytes freed, 0 when nothing is evictable.
+     * The next request for the workload transparently reloads from
+     * the on-disk trace cache (or regenerates). Callers that hand out
+     * unpinned references (the serve daemon) must only evict while no
+     * request is in flight; pinned traces are skipped regardless.
      */
     std::size_t evictLruTrace();
 
@@ -208,6 +198,40 @@ class Runner
                     const RunStats &stats);
 
   private:
+    /** A workload's generator (which owns its resolver) and trace. */
+    struct Workload
+    {
+        trace::GeneratorPtr generator;
+        trace::Trace trace;
+    };
+
+    /**
+     * A compute-once cache keyed by workload name. A null value marks
+     * a key whose first caller is still computing it.
+     */
+    template <typename V>
+    using OnceMap = std::map<std::string, std::shared_ptr<const V>>;
+
+    /**
+     * The value of @p key in @p map, computed by @p compute (outside
+     * cacheMu) only when no other caller has computed it or is
+     * computing it; otherwise waits for that caller. Throws what
+     * @p compute throws, caching nothing, and Error(Cancelled) when
+     * the calling thread's job token fires while it waits.
+     */
+    template <typename V, typename Compute>
+    std::shared_ptr<const V> computeOnce(OnceMap<V> &map,
+                                         const std::string &key,
+                                         Compute &&compute);
+
+    /**
+     * The workload's resident entry, loaded (from the trace cache, or
+     * generated) on first use. Holding the pointer pins the entry
+     * against evictLruTrace.
+     */
+    std::shared_ptr<const Workload>
+    workloadEntry(const std::string &workload);
+
     SystemConfig base;
     std::size_t recordsOverride;
     std::shared_ptr<trace::TraceCache> cache; ///< optional
@@ -219,17 +243,17 @@ class Runner
      */
     std::mutex cacheMu;
 
-    std::map<std::string, trace::GeneratorPtr> generators;
-    std::map<std::string, std::shared_ptr<const trace::Trace>> traces;
-    std::map<std::string, RunStats> baselines;
-    std::map<std::string, core::ProfileSnapshot> profiles;
+    /** Signalled whenever a computation fills or abandons a key. */
+    std::condition_variable cacheFilled;
+
+    OnceMap<Workload> workloadCache;
+    OnceMap<RunStats> baselineCache;
+    OnceMap<core::ProfileSnapshot> profileCache;
 
     /** LRU bookkeeping for evictLruTrace: a monotonic tick stamped
      *  per workload on every resident-trace use (under cacheMu). */
     std::uint64_t useTick = 0;
     std::map<std::string, std::uint64_t> lastUse;
-
-    void ensureWorkload(const std::string &workload);
 };
 
 } // namespace prophet::sim

@@ -1,6 +1,5 @@
 #include "trace/trace_io.hh"
 
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -245,41 +244,6 @@ loadBinary(Trace &out, const std::string &path)
 {
     LoadReport report;
     return loadBinary(out, path, report);
-}
-
-bool
-saveText(const Trace &t, const std::string &path)
-{
-    FilePtr f(std::fopen(path.c_str(), "w"));
-    if (!f)
-        return false;
-    for (const auto &rec : t) {
-        if (std::fprintf(f.get(),
-                         "%" PRIx64 " %" PRIx64 " %u %u %u\n",
-                         rec.pc, rec.addr, rec.instGap,
-                         rec.dependsOnPrev ? 1 : 0,
-                         rec.isWrite ? 1 : 0) < 0)
-            return false;
-    }
-    return true;
-}
-
-bool
-loadText(Trace &out, const std::string &path)
-{
-    out = Trace{};
-    FilePtr f(std::fopen(path.c_str(), "r"));
-    if (!f)
-        return false;
-    std::uint64_t pc, addr;
-    unsigned gap, dep, wr;
-    while (std::fscanf(f.get(),
-                       "%" SCNx64 " %" SCNx64 " %u %u %u\n", &pc,
-                       &addr, &gap, &dep, &wr) == 5) {
-        out.append(pc, addr, static_cast<std::uint16_t>(gap), dep != 0,
-                   wr != 0);
-    }
-    return true;
 }
 
 } // namespace prophet::trace

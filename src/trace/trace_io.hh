@@ -2,8 +2,7 @@
  * @file
  * Trace serialization: a compact binary format so traces can be
  * generated once, archived, and replayed (the SimPoint-checkpoint
- * workflow's moral equivalent), plus a human-readable text form for
- * debugging and interop with external tools.
+ * workflow's moral equivalent).
  *
  * Binary format v3 mirrors the in-memory SoA layout and adds
  * per-array integrity: after the header, one FNV-1a 64 checksum per
@@ -100,15 +99,6 @@ bool loadBinary(Trace &out, const std::string &path);
  */
 bool loadBinary(Trace &out, const std::string &path,
                 LoadReport &report);
-
-/**
- * Write a text form: one record per line,
- * "pc addr inst_gap depends is_write" in hex/dec.
- */
-bool saveText(const Trace &t, const std::string &path);
-
-/** Read the text form. */
-bool loadText(Trace &out, const std::string &path);
 
 } // namespace prophet::trace
 

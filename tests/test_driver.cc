@@ -3,7 +3,8 @@
  * End-to-end tests for the experiment driver: a spec run's rendered
  * JSON sink must match the equivalent direct Runner calls bit-for-bit
  * (same doubles, same counters), results must be independent of the
- * thread count, and the run must carry its metadata.
+ * thread count — with the work jobs share computed once at any thread
+ * count — and the run must carry its metadata.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 
 #include "common/error.hh"
 #include "common/fault_injection.hh"
+#include "common/metrics.hh"
 #include "driver/driver.hh"
 #include "driver/json.hh"
 #include "sim/runner.hh"
@@ -253,6 +255,33 @@ TEST_F(DriverTest, ResultsIndependentOfThreadCount)
     expectThreadCountIndependent(ExperimentSpec::fromJson(doc));
 }
 
+TEST_F(DriverTest, ConcurrentJobsShareTracesBaselinesAndProfiles)
+{
+    // Every job needs its workload's trace, profile and baseline (for
+    // "speedup"). At any thread count each of those runs once per
+    // workload, beside the six Prophet runs: 2 trace loads, 2
+    // profiles and 10 Systems (2 profiles + 2 baselines + 6 jobs).
+    json::Value doc;
+    ASSERT_TRUE(json::parse(
+        "{\"name\": \"shared\","
+        " \"workloads\": [\"mcf\", \"omnetpp\"],"
+        " \"pipelines\": [\"prophet\","
+        "   {\"name\": \"prophet\", \"label\": \"acc05\","
+        "    \"el_acc\": 0.05},"
+        "   {\"name\": \"prophet\", \"label\": \"deg2\","
+        "    \"degree\": 2}],"
+        " \"metrics\": [\"speedup\"],"
+        " \"records\": " + std::to_string(kRecords) + ","
+        " \"trace_cache\": false}",
+        doc, nullptr));
+    expectThreadCountIndependent(ExperimentSpec::fromJson(doc));
+
+    // Each run resets the registry, so it holds the 4-thread run's.
+    EXPECT_EQ(metrics::histogram("phase.trace_load_ns").count(), 2u);
+    EXPECT_EQ(metrics::histogram("phase.profile_ns").count(), 2u);
+    EXPECT_EQ(metrics::counter("sim.runs").value(), 10u);
+}
+
 TEST_F(DriverTest, TraceCacheDoesNotChangeResults)
 {
     std::string pa = dir + "/a.json", pb = dir + "/b.json";
@@ -387,8 +416,6 @@ TEST_F(DriverTest, TransientFailureIsRetriedToSuccess)
     std::string out_path = dir + "/retry.json";
     auto spec = smokeSpec(out_path);
     spec.keepGoing = true;
-    DriverOptions opts;
-    opts.retryBackoffMs = 0; // keep the test fast
 
     // Reference run, no faults.
     auto ref_spec = smokeSpec(dir + "/ref.json");
@@ -399,7 +426,7 @@ TEST_F(DriverTest, TransientFailureIsRetriedToSuccess)
     // Fires exactly once: the first attempt fails with a transient
     // class, the driver's bounded retry clears it.
     fault::arm("job-transient.mcf/baseline", 1, 1);
-    ExperimentDriver drv(std::move(spec), opts);
+    ExperimentDriver drv(std::move(spec));
     auto report = drv.run();
     fault::reset();
 

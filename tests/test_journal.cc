@@ -3,7 +3,7 @@
  * The crash-safe result journal, unit and end-to-end:
  *
  *  - entries round-trip bit-for-bit (every RunStats field, including
- *    the per-PC miss map RPG2 consumes);
+ *    the per-PC miss map, and every metric's double);
  *  - a torn tail (writer killed mid-append) is truncated on load and
  *    everything before it replays;
  *  - a bit-flipped mid-file entry is skipped — later intact entries
@@ -12,7 +12,8 @@
  *  - the "journal.load" / "journal.append" fault sites degrade
  *    gracefully (skipped entry / lost checkpoint, never a crash);
  *  - a resumed driver run merges journaled and fresh jobs into
- *    output byte-identical to a from-scratch run;
+ *    output byte-identical to a from-scratch run, simulating only
+ *    what the journal lacks;
  *  - the watchdog cancels an overrunning job as a transient
  *    JobTimeout, and a pre-fired shutdown token drains the run.
  */
@@ -90,16 +91,27 @@ JournalEntry
 fabricatedEntry(unsigned seed)
 {
     JournalEntry e;
-    e.kind = seed % 3 == 0 ? JournalEntry::Kind::Baseline
-                           : JournalEntry::Kind::Job;
     e.jobIndex = seed;
     e.workload = "wl" + std::to_string(seed);
-    e.pipeline = e.kind == JournalEntry::Kind::Baseline
-        ? ""
-        : "pipe" + std::to_string(seed);
+    e.pipeline = "pipe" + std::to_string(seed);
     e.attempts = 1 + seed % 3;
     e.stats = fabricatedStats(seed);
+    // Doubles whose bits a decimal round trip or a == compare would
+    // not pin: a repeating fraction, negative zero, a subnormal.
+    e.metrics = {{"speedup", 1.0 / 3.0 + seed},
+                 {"traffic", -0.0},
+                 {"coverage", 4.9e-324 * (seed + 1)}};
+    if (seed % 2)
+        e.metrics.clear(); // a spec may request no metrics
     return e;
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
 }
 
 void
@@ -226,12 +238,18 @@ TEST_F(JournalTest, EntriesRoundTripBitForBit)
     for (unsigned i = 0; i < 5; ++i) {
         const JournalEntry &e = j.entries()[i];
         JournalEntry want = fabricatedEntry(i);
-        EXPECT_EQ(e.kind, want.kind);
         EXPECT_EQ(e.jobIndex, want.jobIndex);
         EXPECT_EQ(e.workload, want.workload);
         EXPECT_EQ(e.pipeline, want.pipeline);
         EXPECT_EQ(e.attempts, want.attempts);
         expectStatsEqual(e.stats, want.stats);
+        ASSERT_EQ(e.metrics.size(), want.metrics.size());
+        for (std::size_t m = 0; m < want.metrics.size(); ++m) {
+            EXPECT_EQ(e.metrics[m].first, want.metrics[m].first);
+            EXPECT_EQ(bitsOf(e.metrics[m].second),
+                      bitsOf(want.metrics[m].second))
+                << e.metrics[m].first;
+        }
     }
 }
 
@@ -374,7 +392,7 @@ TEST_F(JournalTest, AppendFaultSiteLosesOnlyThatCheckpoint)
 constexpr std::size_t kRecords = 20'000;
 
 /** mcf+omnetpp x baseline+triangel with a CSV sink: 4 jobs, and
- *  "speedup" forces the per-workload baseline phase. */
+ *  "speedup" makes every job need its workload's baseline. */
 ExperimentSpec
 resumableSpec(const std::string &csv_path)
 {
@@ -425,7 +443,6 @@ TEST_F(JournalTest, ResumedRunMergesByteIdenticalWithScratchRun)
     DriverOptions opts;
     opts.journalPath = journal;
     opts.keepGoing = 1;
-    opts.retryBackoffMs = 0;
     fault::arm("job.omnetpp/triangel", 1);
     {
         ExperimentDriver drv(resumableSpec(csv), opts);
@@ -435,14 +452,16 @@ TEST_F(JournalTest, ResumedRunMergesByteIdenticalWithScratchRun)
     }
     fault::reset();
 
-    // Resume: the three journaled jobs replay (counted), only the
-    // failed one re-simulates, and the merged CSV is byte-identical
-    // to the scratch run's.
+    // Resume: the three journaled jobs replay (counted) with their
+    // metrics, only the failed one re-simulates — plus omnetpp's
+    // baseline, which its speedup needs and no journal entry holds —
+    // and the merged CSV is byte-identical to the scratch run's.
     ExperimentDriver drv(resumableSpec(csv), opts);
     auto report = drv.run();
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.resumedJobs, 3u);
     EXPECT_EQ(counterValue("journal.hits"), 3u);
+    EXPECT_EQ(counterValue("sim.runs"), 2u);
     std::size_t resumed = 0;
     for (const auto &r : report.results)
         resumed += r.resumed ? 1 : 0;
@@ -466,6 +485,9 @@ TEST_F(JournalTest, ResumeAfterCompletionReplaysEverything)
     auto report = drv.run();
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.resumedJobs, 4u);
+    // Replayed jobs carry their metrics: nothing simulates, not even
+    // the baselines "speedup" divides by.
+    EXPECT_EQ(counterValue("sim.runs"), 0u);
     EXPECT_EQ(csvOutput(report), first);
 }
 
@@ -500,8 +522,6 @@ TEST_F(JournalTest, WatchdogTimesOutAnOverrunningJob)
     DriverOptions opts;
     opts.jobTimeoutS = 0.001; // 2M records cannot finish in 1 ms
     opts.keepGoing = 1;
-    opts.maxAttempts = 2;
-    opts.retryBackoffMs = 0;
     ExperimentDriver drv(ExperimentSpec::fromJson(doc), opts);
     auto report = drv.run();
     ASSERT_EQ(report.results.size(), 1u);
@@ -530,12 +550,11 @@ TEST_F(JournalTest, SpecDeadlineDrivesTheWatchdogToo)
     ASSERT_TRUE(json::parse(text, doc, nullptr));
     DriverOptions opts;
     opts.keepGoing = 1;
-    opts.maxAttempts = 1;
-    opts.retryBackoffMs = 0;
     ExperimentDriver drv(ExperimentSpec::fromJson(doc), opts);
     auto report = drv.run();
     ASSERT_EQ(report.results.size(), 1u);
     EXPECT_EQ(report.results[0].errorCode, ErrorCode::JobTimeout);
+    EXPECT_EQ(report.results[0].attempts, 2u);
 
     // And --job-timeout 0 overrides the spec deadline off.
     DriverOptions off = opts;

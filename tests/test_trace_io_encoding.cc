@@ -139,17 +139,6 @@ TEST(TraceIo, TruncatedPayloadRejected)
     std::remove(path);
 }
 
-TEST(TraceIo, TextRoundTrip)
-{
-    auto t = sampleTrace();
-    const char *path = "/tmp/prophet_test_trace.txt";
-    ASSERT_TRUE(trace::saveText(t, path));
-    trace::Trace loaded;
-    ASSERT_TRUE(trace::loadText(loaded, path));
-    expectEqual(t, loaded);
-    std::remove(path);
-}
-
 TEST(TraceIo, LoadRejectsGarbage)
 {
     const char *path = "/tmp/prophet_test_garbage.bin";

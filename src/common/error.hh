@@ -42,7 +42,7 @@ enum class ErrorCode : std::uint8_t
     FaultInjected,   ///< a deterministic test fault fired
     Internal,        ///< everything else (wrapped std::exception)
     JournalCorrupt,  ///< result-journal entry failed validation
-    JobTimeout,      ///< watchdog deadline cancelled the job
+    JobTimeout,      ///< the job attempt outlived its deadline
     ServerOverloaded,///< serve daemon shed the request (queue full)
     ProtocolError,   ///< malformed/oversize serve frame or request
     SocketBusy,      ///< a live daemon already owns the socket path

@@ -2,7 +2,7 @@
  * @file
  * Process-wide metrics registry: named counters, gauges, and
  * log2-bucketed histograms every subsystem reports through — the
- * trace cache, thread pool, fault-injection harness, driver phases,
+ * trace cache, sweep workers, fault-injection harness, driver phases,
  * and simulation runs all land here, and `prophet run --metrics-out`
  * snapshots the lot into one machine-readable document.
  *

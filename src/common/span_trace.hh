@@ -17,10 +17,10 @@
  * they time.
  *
  * Thread tracks: each thread gets a stable small tid on first use
- * (currentTid()), and ThreadPool workers name their tracks
+ * (currentTid()), and sweep workers name their tracks
  * ("worker-0", ...) via setCurrentThreadName — names are kept even
- * while disabled so pools built before enabling still label their
- * tracks.
+ * while disabled, so a worker named before collection starts still
+ * labels its track.
  */
 
 #ifndef PROPHET_COMMON_SPAN_TRACE_HH

@@ -66,163 +66,44 @@ recordFailure(JobResult &slot, const sim::SweepEngine::JobFailure &f,
 }
 
 /**
- * One job attempt's private cancellation token, chained to its run's
- * token: shutdown, fail-fast, a serve client's disconnect and a
- * drain all fire the run's token, and the attempt's Systems see it
- * at their next poll. Only the watchdog fires the private token
- * itself, for a deadline. Each retry gets a fresh Attempt: tokens
- * cannot un-cancel, so a timed-out attempt must not poison the retry.
- */
-struct Attempt
-{
-    Attempt(const CancellationToken &run, std::string key)
-        : token(&run), jobKey(std::move(key))
-    {
-    }
-
-    CancellationToken token;
-    std::string jobKey;
-    std::chrono::steady_clock::time_point deadline{};
-    std::atomic<bool> timedOut{false};
-};
-
-/**
- * Per-job deadline enforcement: one monitor thread polls the
- * registered attempts and fires the private token of any that
- * outlives the deadline — counted under "watchdog.fires" and
- * surfaced to the retry loop as a transient JobTimeout. Created only
- * when a deadline is set.
- */
-class JobWatchdog
-{
-  public:
-    explicit JobWatchdog(double deadline_s) : deadlineS(deadline_s)
-    {
-        worker = std::thread([this] { loop(); });
-    }
-
-    JobWatchdog(const JobWatchdog &) = delete;
-    JobWatchdog &operator=(const JobWatchdog &) = delete;
-
-    ~JobWatchdog()
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            stopping = true;
-        }
-        wake.notify_all();
-        worker.join();
-    }
-
-    double deadlineSeconds() const { return deadlineS; }
-
-    void
-    beginAttempt(Attempt &a)
-    {
-        a.deadline = std::chrono::steady_clock::now()
-            + std::chrono::duration_cast<
-                  std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(deadlineS));
-        std::lock_guard<std::mutex> lock(mu);
-        active.push_back(&a);
-    }
-
-    void
-    endAttempt(Attempt &a)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        active.erase(std::remove(active.begin(), active.end(), &a),
-                     active.end());
-    }
-
-  private:
-    void
-    loop()
-    {
-        // Poll at a quarter of the deadline (clamped to [1, 100] ms)
-        // so the overshoot past a deadline is bounded without
-        // burning a core.
-        const auto interval = std::chrono::milliseconds(std::min(
-            100L, std::max(1L, static_cast<long>(deadlineS * 250.0))));
-        std::unique_lock<std::mutex> lock(mu);
-        while (!wake.wait_for(lock, interval,
-                              [this] { return stopping; })) {
-            auto now = std::chrono::steady_clock::now();
-            std::vector<std::string> expired;
-            for (Attempt *a : active) {
-                // An attempt its run already cancelled is not timed
-                // out: it unwinds as Cancelled.
-                if (now < a->deadline
-                    || a->timedOut.load(std::memory_order_relaxed)
-                    || a->token.cancelled())
-                    continue;
-                a->timedOut.store(true, std::memory_order_relaxed);
-                a->token.cancel();
-                metrics::counter("watchdog.fires").inc();
-                expired.push_back(a->jobKey);
-            }
-            // Log outside the registry lock: begin/endAttempt on
-            // worker threads must never wait on stderr.
-            lock.unlock();
-            for (const auto &key : expired)
-                prophet_warnf("  %s: exceeded the %.3gs job "
-                              "deadline; cancelling this attempt",
-                              key.c_str(), deadlineS);
-            lock.lock();
-        }
-    }
-
-    double deadlineS;
-
-    std::mutex mu;
-    std::condition_variable wake;
-    bool stopping = false;
-    std::vector<Attempt *> active;
-    std::thread worker;
-};
-
-/**
- * RAII scope of one attempt: routes every System the calling thread
- * builds to the attempt's private token (Runner's thread-local
- * override) and, when a watchdog is running, puts the attempt under
- * its deadline.
+ * RAII scope of one job attempt: a private cancellation token chained
+ * to its run's token, expiring @p deadline_s after the attempt starts
+ * when a per-job deadline is set (> 0). Every System the calling
+ * thread builds polls it (Runner's thread-local override), so
+ * shutdown, fail-fast, a serve client's disconnect, a drain and the
+ * deadline all reach the attempt at its next poll. Each retry gets a
+ * fresh scope: tokens cannot un-cancel, so a timed-out attempt must
+ * not poison the retry.
  */
 class AttemptScope
 {
   public:
-    AttemptScope(const CancellationToken &run, JobWatchdog *watchdog,
-                 std::string job_key)
-        : attempt(run, std::move(job_key)), wd(watchdog)
+    AttemptScope(const CancellationToken &run, double deadline_s)
+        : token(&run,
+                deadline_s > 0.0
+                    ? CancellationToken::Clock::now()
+                        + std::chrono::duration_cast<
+                            CancellationToken::Clock::duration>(
+                            std::chrono::duration<double>(deadline_s))
+                    : CancellationToken::kNoDeadline)
     {
-        if (wd)
-            wd->beginAttempt(attempt);
-        sim::Runner::setThreadJobCancellation(&attempt.token);
+        sim::Runner::setThreadJobCancellation(&token);
     }
 
     AttemptScope(const AttemptScope &) = delete;
     AttemptScope &operator=(const AttemptScope &) = delete;
 
-    ~AttemptScope()
-    {
-        sim::Runner::setThreadJobCancellation(nullptr);
-        if (wd)
-            wd->endAttempt(attempt);
-    }
+    ~AttemptScope() { sim::Runner::setThreadJobCancellation(nullptr); }
 
-    bool
-    timedOut() const
-    {
-        return attempt.timedOut.load(std::memory_order_relaxed);
-    }
+    bool expired() const { return token.expired(); }
 
   private:
-    Attempt attempt;
-    JobWatchdog *wd;
+    CancellationToken token;
 };
 
 /**
  * Total tries of a job whose attempts fail with a *transient* error
- * class (isTransientError: trace I/O, cache lock, watchdog timeout),
+ * class (isTransientError: trace I/O, cache lock, job timeout),
  * and the base backoff before retry k (k times this).
  */
 constexpr unsigned kMaxAttempts = 2;
@@ -243,13 +124,13 @@ runJobWithRetry(sim::Runner &runner,
                 const sim::PipelineInstance &inst,
                 const std::vector<std::string> &metric_names,
                 JobResult &slot, const CancellationToken &token,
-                JobWatchdog *watchdog)
+                double deadline_s)
 {
     const std::string job_key = slot.workload + "/" + slot.pipeline;
     for (unsigned attempt = 1;; ++attempt) {
         slot.attempts = attempt;
         try {
-            AttemptScope scope(token, watchdog, job_key);
+            AttemptScope scope(token, deadline_s);
             try {
                 ErrorContext ctx;
                 ctx.workload = slot.workload;
@@ -276,14 +157,18 @@ runJobWithRetry(sim::Runner &runner,
                 // deadline is a timeout — transient, so the loop
                 // below retries it with a fresh deadline. External
                 // cancellation (shutdown, fail-fast) stays
-                // Cancelled and propagates.
-                if (e.code() == ErrorCode::Cancelled
-                    && scope.timedOut()) {
+                // Cancelled and propagates, even past the deadline.
+                if (e.code() == ErrorCode::Cancelled && scope.expired()
+                    && !token.cancelled()) {
+                    metrics::counter("watchdog.fires").inc();
+                    prophet_warnf("  %s: exceeded the %.3gs job "
+                                  "deadline; cancelling this attempt",
+                                  job_key.c_str(), deadline_s);
                     char msg[96];
                     std::snprintf(msg, sizeof(msg),
                                   "job exceeded its %.3gs deadline "
                                   "and was cancelled by the watchdog",
-                                  watchdog->deadlineSeconds());
+                                  deadline_s);
                     ErrorContext tctx;
                     tctx.workload = slot.workload;
                     tctx.pipeline = slot.pipeline;
@@ -615,12 +500,10 @@ ExperimentDriver::run()
                           journal->path().c_str());
     }
 
-    // Watchdog: a monitor thread only when a per-job deadline is set.
+    // Per-job deadline (> 0): each attempt's token expires that long
+    // after the attempt starts.
     const double deadline_s =
         opts.jobTimeoutS < 0.0 ? spec.deadlineS : opts.jobTimeoutS;
-    std::unique_ptr<JobWatchdog> watchdog;
-    if (deadline_s > 0.0)
-        watchdog = std::make_unique<JobWatchdog>(deadline_s);
 
     // One fan-out: every (workload x pipeline) as an independent,
     // fault-isolated job, workload-major. Each job runs its pipeline
@@ -666,7 +549,7 @@ ExperimentDriver::run()
             auto t0 = std::chrono::steady_clock::now();
             try {
                 runJobWithRetry(runner, inst, spec.metrics, slot,
-                                token, watchdog.get());
+                                token, deadline_s);
             } catch (...) {
                 // Failed jobs still report their duration and count
                 // toward progress; the failure handling below fills

@@ -2,7 +2,7 @@
  * @file
  * The experiment driver: expands a declarative ExperimentSpec into
  * (workload x pipeline) jobs, runs them as one SweepEngine fan-out
- * across the thread pool — each job runs its pipeline and derives the
+ * across its workers — each job runs its pipeline and derives the
  * requested metrics, sharing the Runner's once-computed traces,
  * baselines and profiles — and renders the spec's sinks to bytes, in
  * spec order, so output is independent of scheduling. The `prophet`
@@ -57,10 +57,12 @@ struct DriverOptions
     bool journalFsync = true;
 
     /**
-     * Per-job watchdog deadline in seconds. < 0 defers to the
-     * spec's "deadline_s"; 0 forces the watchdog off; > 0 overrides
-     * (--job-timeout). An expired job is cancelled and recorded as
-     * a transient JobTimeout failure (retried once).
+     * Per-job deadline in seconds, below 1e9. < 0 defers to the
+     * spec's "deadline_s"; 0 forces the deadline off; > 0 overrides
+     * (--job-timeout). Each attempt's cancellation token expires
+     * that long after the attempt starts; an expired attempt is
+     * cancelled at its next poll and recorded as a transient
+     * JobTimeout failure (retried once).
      */
     double jobTimeoutS = -1.0;
 

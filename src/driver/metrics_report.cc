@@ -104,9 +104,9 @@ buildMetricsReport(const ExperimentReport &report)
     }
     root.set("phases", std::move(phases));
 
-    // Thread-pool utilization: busy time summed over workers against
-    // workers * wall. A single-threaded run has no pool, so workers
-    // falls back to 1 and busy stays 0.
+    // Worker utilization: job time summed over the sweep's workers
+    // against workers * wall. A single-threaded run counts the calling
+    // thread as its one worker.
     json::Value pool = json::Value::makeObject();
     double busy_s = 0.0;
     for (const auto &c : snap.counters)

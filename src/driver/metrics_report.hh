@@ -1,7 +1,7 @@
 /**
  * @file
  * Renders one driver run's observability data — the full metrics
- * registry, per-phase timings, thread-pool utilization, peak RSS,
+ * registry, per-phase timings, sweep-worker utilization, peak RSS,
  * and per-job timings — as a single JSON document (the --metrics-out
  * file). Lives in driver/ rather than common/ because it composes
  * driver::json and the ExperimentReport; the registry itself stays
@@ -23,7 +23,7 @@ namespace prophet::driver
  * Build the metrics document for a finished run: run metadata from
  * @p report, every counter/gauge/histogram in the metrics registry,
  * a "phases" summary derived from the "phase.*_ns" histograms, the
- * thread-pool utilization, peak RSS, and one "jobs" entry per
+ * sweep-worker utilization, peak RSS, and one "jobs" entry per
  * JobResult.
  */
 json::Value buildMetricsReport(const ExperimentReport &report);

@@ -512,7 +512,7 @@ ExperimentSpec::fromJson(const json::Value &root)
     }
     if (const json::Value *v = root.find("deadline_s")) {
         // Fractional deadlines are legal (sub-second tests); zero or
-        // negative would silently disable the watchdog the spec
+        // negative would silently disable the deadline the spec
         // asked for, so they are errors.
         if (!v->isNumber() || !(v->asNumber() > 0.0)
             || !(v->asNumber() < 1e9))

@@ -36,7 +36,7 @@
  *       "offset": 0                  // shift the whole schedule
  *     },
  *     "trace_cache": true,           // consult the on-disk cache
- *     "deadline_s": 120.5,           // per-job watchdog deadline
+ *     "deadline_s": 120.5,           // per-job deadline, seconds
  *     "sinks": [{"type": "table"},   // table | json | csv
  *               {"type": "json", "path": "out.json"}]
  *   }
@@ -131,12 +131,12 @@ struct ExperimentSpec
     bool keepGoing = false;
 
     /**
-     * Per-job watchdog deadline in seconds (0 = none): a job still
-     * simulating past it is cancelled and recorded as a transient
-     * JobTimeout failure, eligible for the retry path. The CLI's
-     * --job-timeout overrides it. Excluded from resultHash like
-     * keep_going — a deadline can fail a job, never change the
-     * numbers a completed job reports.
+     * Per-job deadline in seconds, below 1e9 (0 = none): a job
+     * attempt still running past it is cancelled at its next poll
+     * and recorded as a transient JobTimeout failure, eligible for
+     * the retry path. The CLI's --job-timeout overrides it.
+     * Excluded from resultHash like keep_going — a deadline can
+     * fail a job, never change the numbers a completed job reports.
      */
     double deadlineS = 0.0;
 

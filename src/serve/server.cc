@@ -410,6 +410,11 @@ ServeDaemon::handleRun(ActiveRequest &self, const json::Value &req)
 {
     const int fd = self.fd;
     driver::ExperimentSpec spec;
+    driver::DriverOptions dopts;
+    dopts.resetMetrics = false;
+    dopts.shutdown = &self.token;
+    if (opts.requestDeadlineS > 0.0)
+        dopts.jobTimeoutS = opts.requestDeadlineS;
     try {
         const json::Value *spec_text = req.find("spec_text");
         const json::Value *spec_obj = req.find("spec");
@@ -430,6 +435,16 @@ ServeDaemon::handleRun(ActiveRequest &self, const json::Value &req)
                        opts.ioTimeoutMs);
             return;
         }
+        // The range the spec's "deadline_s" and the CLI's deadline
+        // flags accept: past 1e9 s the deadline overflows the clock.
+        if (const json::Value *d = req.find("deadline_s")) {
+            if (!d->isNumber() || !(d->asNumber() > 0.0)
+                || !(d->asNumber() < 1e9))
+                throw driver::SpecError(
+                    "\"deadline_s\" must be a positive number of "
+                    "seconds below 1e9");
+            dopts.jobTimeoutS = d->asNumber();
+        }
     } catch (const Error &e) {
         // Containment: a bad spec answers THIS client and changes
         // nothing else — same taxonomy code the CLI would exit with.
@@ -437,15 +452,6 @@ ServeDaemon::handleRun(ActiveRequest &self, const json::Value &req)
                    opts.ioTimeoutMs);
         return;
     }
-
-    driver::DriverOptions dopts;
-    dopts.resetMetrics = false;
-    dopts.shutdown = &self.token;
-    const json::Value *deadline = req.find("deadline_s");
-    if (deadline && deadline->isNumber())
-        dopts.jobTimeoutS = deadline->asNumber();
-    else if (opts.requestDeadlineS > 0.0)
-        dopts.jobTimeoutS = opts.requestDeadlineS;
 
     {
         std::lock_guard<std::mutex> lock(mu);

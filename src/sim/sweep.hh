@@ -2,8 +2,8 @@
  * @file
  * The parallel sweep engine: fans indexed jobs — the driver's
  * (workload x pipeline) simulations, including the multi-run RPG2
- * tuning and Prophet profile/analyze/run pipelines — across a
- * fixed-size thread pool.
+ * tuning and Prophet profile/analyze/run pipelines — across worker
+ * threads each fan-out starts and joins itself.
  *
  * Every job is an independent System over a shared immutable trace,
  * and each pipeline's internal runs stay sequential inside its job,
@@ -16,27 +16,28 @@
 
 #include <exception>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/cancellation.hh"
-#include "sim/thread_pool.hh"
 
 namespace prophet::sim
 {
 
 /**
- * Fans jobs across a thread pool. With threads == 1 the engine
+ * Fans jobs across worker threads. With threads == 1 the engine
  * degrades to plain serial execution in the calling thread.
  */
 class SweepEngine
 {
   public:
-    /** @param threads Worker count; 0 = hardware concurrency. */
+    /**
+     * @param threads Worker count; 0 = hardware concurrency (at
+     *        least 1). Starts no thread: each fan-out starts its own.
+     */
     explicit SweepEngine(unsigned threads = 0);
 
     /** Worker count in use. */
-    unsigned threads() const;
+    unsigned threads() const { return nThreads; }
 
     /** How tryForEach responds to a failing index. */
     enum class FailurePolicy
@@ -66,7 +67,7 @@ class SweepEngine
     };
 
     /**
-     * Run fn(0..n-1), fanned across the pool. Returns when all
+     * Run fn(0..n-1), fanned across the workers. Returns when all
      * indices have completed; rethrows the exception of the
      * lowest-index failing job.
      */
@@ -84,6 +85,14 @@ class SweepEngine
      * in-flight jobs drain, new ones never start. The returned
      * vector always has n entries, indexed by job, regardless of
      * completion order.
+     *
+     * With one thread every index runs in the calling thread, in
+     * index order. With more, min(threads, n) workers named
+     * "worker-<k>" each claim the next unstarted index until none is
+     * left, and the calling thread runs no job: a long-lived caller
+     * (the serve daemon's request thread) would otherwise keep a
+     * finished System's arrays in its own malloc arena. Every job's
+     * wall time is added to the "threadpool.busy_ns" counter.
      */
     std::vector<JobFailure>
     tryForEach(std::size_t n,
@@ -92,7 +101,7 @@ class SweepEngine
                CancellationToken *token = nullptr);
 
   private:
-    std::unique_ptr<ThreadPool> pool; ///< null when single-threaded
+    unsigned nThreads;
 };
 
 } // namespace prophet::sim

@@ -330,5 +330,42 @@ TEST(RunnerSharing, CancelledWaiterStopsBeforeTheComputerFinishes)
     EXPECT_GT(r.baseline("mcf").ipc, 0.0);
 }
 
+TEST(RunnerSharing, ExpiredWaiterStopsBeforeTheComputerFinishes)
+{
+    // As above, with the waiter's deadline passing in place of a
+    // cancel(): the wait polls the token, so it sees the deadline.
+    Runner r(SystemConfig::table1(), kSharedRecords);
+    std::atomic<bool> computer_done{false};
+    std::exception_ptr computer_error;
+    std::thread computer = startComputingBaseline(
+        r, nullptr, computer_done, computer_error);
+
+    CancellationToken run;
+    CancellationToken waiter_token(
+        &run, CancellationToken::Clock::now()
+                  + std::chrono::milliseconds(10));
+    std::exception_ptr waiter_error;
+    bool computer_done_at_expiry = true;
+    std::thread waiter([&] {
+        Runner::setThreadJobCancellation(&waiter_token);
+        try {
+            r.baseline("mcf");
+        } catch (...) {
+            waiter_error = std::current_exception();
+            computer_done_at_expiry = computer_done.load();
+        }
+        Runner::setThreadJobCancellation(nullptr);
+    });
+    waiter.join();
+    expectCancelled(waiter_error);
+    EXPECT_TRUE(waiter_token.expired());
+    EXPECT_FALSE(run.cancelled());
+    EXPECT_FALSE(computer_done_at_expiry);
+
+    computer.join();
+    EXPECT_FALSE(computer_error);
+    EXPECT_GT(r.baseline("mcf").ipc, 0.0);
+}
+
 } // anonymous namespace
 } // namespace prophet::sim

@@ -607,6 +607,31 @@ TEST_F(ServeDaemonTest, RequestDeadlineCancelsAsJobTimeout)
     daemon.drainAndStop();
 }
 
+TEST_F(ServeDaemonTest, OutOfRangeDeadlineIsRefusedAndDaemonServesOn)
+{
+    ServeDaemon daemon(opts);
+    daemon.start();
+    // The range the spec's "deadline_s" accepts: 1e10 s would
+    // overflow the clock and expire at once, 0 and negatives are not
+    // deadlines, and a string is not a number.
+    for (const char *bad : {"1e10", "0", "-1", "\"5\""}) {
+        SCOPED_TRACE(bad);
+        json::Value req;
+        ASSERT_TRUE(json::parse(runRequest(specText()), req, nullptr));
+        json::Value value;
+        ASSERT_TRUE(json::parse(bad, value, nullptr));
+        req.set("deadline_s", std::move(value));
+        json::Value resp = roundTrip(sock, json::dump(req));
+        EXPECT_EQ(frameType(resp), "error");
+        EXPECT_EQ(errorCodeOf(resp), "spec-parse");
+    }
+    json::Value resp = roundTrip(sock, runRequest(specText(), 600.0));
+    ASSERT_EQ(frameType(resp), "result") << errorCodeOf(resp);
+    EXPECT_EQ(static_cast<int>(resp.find("exit_code")->asNumber()),
+              0);
+    daemon.drainAndStop();
+}
+
 TEST_F(ServeDaemonTest, ClientRunFailsOnASinkEntryItCannotWrite)
 {
     const fs::path dir = sock + ".d";

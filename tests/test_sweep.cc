@@ -1,47 +1,80 @@
 /**
  * @file
- * Tests for the parallel sweep engine and thread pool: fan-out
- * coverage, failure capture and propagation, and fail-fast
- * cancellation. That sweeps are bit-identical across thread counts is
- * checked end to end through the driver (test_driver.cc).
+ * Tests for the parallel sweep engine: thread counts, which threads
+ * run the jobs, fan-out coverage, busy-time accounting, failure
+ * capture and propagation, and fail-fast cancellation. That sweeps
+ * are bit-identical across thread counts is checked end to end
+ * through the driver (test_driver.cc).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/metrics.hh"
 #include "sim/sweep.hh"
-#include "sim/thread_pool.hh"
 
 namespace prophet::sim
 {
 namespace
 {
 
-TEST(ThreadPool, RunsEverySubmittedJob)
+TEST(Sweep, ZeroThreadsMeansHardwareConcurrency)
 {
-    ThreadPool pool(4);
-    EXPECT_EQ(pool.threadCount(), 4u);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-
-    // The pool is reusable across batches.
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 150);
+    EXPECT_GE(SweepEngine(0).threads(), 1u);
+    EXPECT_EQ(SweepEngine(3).threads(), 3u);
 }
 
-TEST(ThreadPool, ResolveThreadsDefaultsToHardware)
+TEST(Sweep, OneThreadRunsEveryIndexInOrderOnTheCaller)
 {
-    EXPECT_GE(ThreadPool::resolveThreads(0), 1u);
-    EXPECT_EQ(ThreadPool::resolveThreads(3), 3u);
+    SweepEngine engine(1);
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::size_t> order;
+    bool on_caller = true;
+    engine.forEach(5, [&](std::size_t i) {
+        order.push_back(i);
+        on_caller = on_caller && std::this_thread::get_id() == caller;
+    });
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+    EXPECT_TRUE(on_caller);
+}
+
+TEST(Sweep, WorkersAreCappedAtTheIndexCountAndExcludeTheCaller)
+{
+    // Four threads over two indices: at most two workers start, and
+    // the calling thread runs no job.
+    SweepEngine engine(4);
+    const auto caller = std::this_thread::get_id();
+    std::mutex mu;
+    std::set<std::thread::id> ran_on;
+    engine.forEach(2, [&](std::size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        ran_on.insert(std::this_thread::get_id());
+    });
+    EXPECT_GE(ran_on.size(), 1u);
+    EXPECT_LE(ran_on.size(), 2u);
+    EXPECT_EQ(ran_on.count(caller), 0u);
+}
+
+TEST(Sweep, BusyTimeCountsOnOneThreadToo)
+{
+    metrics::Counter &busy = metrics::counter("threadpool.busy_ns");
+    for (unsigned threads : {1u, 2u}) {
+        SCOPED_TRACE(threads);
+        const std::uint64_t before = busy.value();
+        SweepEngine(threads).forEach(2, [](std::size_t) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        });
+        EXPECT_GE(busy.value() - before, 2'000'000u);
+    }
 }
 
 TEST(Sweep, ForEachCoversAllIndicesOnce)
@@ -124,26 +157,6 @@ TEST(SweepEngine, TryForEachFailFastSkipsTheRestAndFiresTheToken)
     EXPECT_TRUE(failures[3].skipped);
     EXPECT_FALSE(failures[2].error);
     EXPECT_TRUE(token.cancelled());
-}
-
-TEST(ThreadPool, EscapedExceptionIsCountedNotFatal)
-{
-    // forEach/tryForEach capture failures inside the closure; a job
-    // that leaks an exception anyway (a caller bug) must not kill
-    // the worker — it is logged, counted, and dropped.
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("leaked"); });
-    pool.submit([] {});
-    pool.wait();
-    EXPECT_EQ(pool.swallowedExceptions(), 1u);
-
-    // The pool still works afterwards.
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i)
-        pool.submit([&] { ++ran; });
-    pool.wait();
-    EXPECT_EQ(ran.load(), 8);
-    EXPECT_EQ(pool.swallowedExceptions(), 1u);
 }
 
 } // anonymous namespace

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "common/cancellation.hh"
 #include "common/error.hh"
 #include "sim/system.hh"
@@ -315,6 +317,47 @@ TEST(System, CancellingAChildLeavesItsParentAndSiblingsLive)
     auto s = sys.run(t);
     EXPECT_EQ(s.cycles, ref.cycles);
     EXPECT_EQ(s.records, ref.records);
+}
+
+TEST(System, ExpiredChildTokenLeavesItsParentAndSiblingsLive)
+{
+    // A per-job deadline lives in the attempt's own token: once it
+    // passes, that token reads cancelled, and nothing else does.
+    CancellationToken run;
+    CancellationToken timed(&run, CancellationToken::Clock::now());
+    CancellationToken sibling(&run);
+    EXPECT_TRUE(timed.expired());
+    EXPECT_TRUE(timed.cancelled());
+    EXPECT_FALSE(run.cancelled());
+    EXPECT_FALSE(run.expired());
+    EXPECT_FALSE(sibling.cancelled());
+    EXPECT_FALSE(sibling.expired());
+
+    // A deadline still ahead reads neither.
+    CancellationToken later(&run, CancellationToken::Clock::now()
+                                      + std::chrono::hours(1));
+    EXPECT_FALSE(later.expired());
+    EXPECT_FALSE(later.cancelled());
+}
+
+TEST(System, DeadlinePassingMidRunUnwindsWithItsOffset)
+{
+    auto t = chaseTrace(30000, 400000);
+    System sys(baseCfg());
+    const auto start = CancellationToken::Clock::now();
+    CancellationToken token(nullptr,
+                            start + std::chrono::milliseconds(5));
+    sys.setCancellation(&token, 1024);
+    try {
+        sys.run(t);
+        FAIL() << "run outlived its deadline";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::Cancelled);
+        EXPECT_TRUE(token.expired());
+        // The poll that saw the deadline pins how far the run got.
+        EXPECT_NE(e.context().offset, ErrorContext::kNoOffset);
+        EXPECT_LT(e.context().offset, t.size());
+    }
 }
 
 } // anonymous namespace

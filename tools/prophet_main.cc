@@ -144,10 +144,10 @@ usage()
         "                 entry then survives process death, not\n"
         "                 power loss)\n"
         "  --job-timeout SEC\n"
-        "                 per-job watchdog deadline: an overrunning\n"
-        "                 job is cancelled, recorded as a transient\n"
-        "                 timeout, and retried; overrides the spec's\n"
-        "                 \"deadline_s\" (0 disables both)\n"
+        "                 per-job deadline: an overrunning job is\n"
+        "                 cancelled at its next poll, recorded as a\n"
+        "                 transient timeout, and retried; overrides\n"
+        "                 the spec's \"deadline_s\" (0 disables both)\n"
         "  SIGINT/SIGTERM drain in-flight jobs, flush the journal\n"
         "                 and partial sinks, and exit 6; a second\n"
         "                 signal force-kills\n"

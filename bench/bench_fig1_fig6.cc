@@ -37,10 +37,10 @@ figure1(const prophet::trace::Trace &t)
     using namespace prophet;
 
     // This pass only needs PCs and line addresses: stream the
-    // trace's SoA arrays directly.
+    // trace's PC and address arrays directly.
     const std::size_t n = t.size();
     const PC *pcs = t.pcData();
-    const Addr *lines = t.lineAddrData();
+    const Addr *addrs = t.addrData();
 
     // Identify the hottest PC (the event-queue walk).
     std::unordered_map<PC, std::uint64_t> counts;
@@ -62,7 +62,7 @@ figure1(const prophet::trace::Trace &t)
     for (std::size_t i = 0; i < n; ++i) {
         if (pcs[i] != hot)
             continue;
-        Addr line = lines[i];
+        Addr line = lineAddr(addrs[i]);
         if (last != kInvalidAddr)
             stream.emplace_back(last, line);
         last = line;
@@ -86,7 +86,7 @@ figure1(const prophet::trace::Trace &t)
     for (std::size_t i = 0; i < n; ++i) {
         if (pcs[i] != hot)
             continue;
-        Addr line = lines[i];
+        Addr line = lineAddr(addrs[i]);
         if (prev != kInvalidAddr && idx < stream.size()) {
             bool repeats = pair_counts[stream[idx]] > 1;
             if (repeats)

@@ -42,14 +42,15 @@ main(int argc, char **argv)
 
         // Per-PC successor sets per line address, as the training
         // unit observes them. Only PCs and line addresses are
-        // needed, so the pass streams the trace's SoA arrays.
+        // needed, so the pass streams the trace's PC and address
+        // arrays.
         const std::size_t n = t.size();
         const PC *pcs = t.pcData();
-        const Addr *lines = t.lineAddrData();
+        const Addr *addrs = t.addrData();
         std::unordered_map<PC, Addr> last;
         std::unordered_map<Addr, std::set<Addr>> successors;
         for (std::size_t i = 0; i < n; ++i) {
-            Addr line = lines[i];
+            Addr line = lineAddr(addrs[i]);
             auto it = last.find(pcs[i]);
             if (it != last.end() && it->second != line)
                 successors[it->second].insert(line);

@@ -520,6 +520,24 @@ ExperimentDriver::run()
     if (opts.progress)
         monitor = std::make_unique<ProgressMonitor>(
             spec.name, report.results.size(), jobs_done);
+
+    // A job finishes exactly once: it completes, its last attempt
+    // fails, or it replays from the journal. When a workload's last
+    // job finishes, a per-run Runner drops that workload's trace, so
+    // the run holds only the traces of workloads with unfinished
+    // jobs. Jobs that never start (fail-fast skips, an interrupt)
+    // never count down; their workloads' traces live until the run
+    // ends. A resident Runner (the serve daemon) keeps its traces:
+    // warming the next request is its purpose.
+    std::vector<std::atomic<std::size_t>> unfinished(
+        spec.workloads.size());
+    for (auto &n : unfinished)
+        n.store(per);
+    auto finish = [&](std::size_t i) {
+        jobs_done.fetch_add(1, std::memory_order_relaxed);
+        if (owned_runner && unfinished[i / per].fetch_sub(1) == 1)
+            runner.releaseTrace(spec.workloads[i / per]);
+    };
     auto failures = engine.tryForEach(
         report.results.size(),
         [&](std::size_t i) {
@@ -537,7 +555,7 @@ ExperimentDriver::run()
                 slot.attempts = replay[i]->attempts;
                 slot.resumed = true;
                 metrics::counter("journal.hits").inc();
-                jobs_done.fetch_add(1, std::memory_order_relaxed);
+                finish(i);
                 if (!opts.progress)
                     prophet_infof("  %s/%s replayed from journal",
                                   slot.workload.c_str(),
@@ -555,11 +573,11 @@ ExperimentDriver::run()
                 // toward progress; the failure handling below fills
                 // in why.
                 slot.seconds = secondsSince(t0);
-                jobs_done.fetch_add(1, std::memory_order_relaxed);
+                finish(i);
                 throw;
             }
             slot.seconds = secondsSince(t0);
-            jobs_done.fetch_add(1, std::memory_order_relaxed);
+            finish(i);
             if (journal) {
                 JournalEntry e;
                 e.jobIndex = static_cast<std::uint32_t>(i);

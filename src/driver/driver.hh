@@ -85,9 +85,10 @@ struct DriverOptions
      * trace-cache attachment, and base configuration (which must
      * match the spec's baseConfig()/records — the serve daemon keys
      * its runner pool on exactly those fields). The driver never
-     * attaches a trace cache to it, and it needs no cancellation
-     * wiring: every job polls a thread-local token chained to its
-     * own run's token, whichever Runner it uses.
+     * attaches a trace cache to it and never releases its traces,
+     * and it needs no cancellation wiring: every job polls a
+     * thread-local token chained to its own run's token, whichever
+     * Runner it uses.
      */
     sim::Runner *runner = nullptr;
 

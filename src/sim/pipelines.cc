@@ -207,7 +207,7 @@ triageParams(bool with_degree)
                           true, 1.0, 4.0});
     params.push_back(
         {"meta_replacement", ParamValue::Type::String,
-         "metadata replacement: hawkeye srrip lru plru brrip random "
+         "metadata replacement: hawkeye srrip lru brrip random "
          "(default hawkeye)"});
     params.push_back({"bloom_resizing", ParamValue::Type::Bool,
                       "Bloom-filter-driven table resizing (default "
@@ -223,9 +223,10 @@ validateTriage(const PipelineInstance &p)
         throw PipelineError(
             "parameter \"degree\" of pipeline \"" + p.name
             + "\" must be 1 or 4 (the simulated Triage points)");
+    // No "plru": tree-PLRU needs a power-of-two associativity, and
+    // the Markov table's (maxWays x 12) never is one.
     requireOneOf(p, "meta_replacement", "hawkeye",
-                 {"hawkeye", "srrip", "lru", "plru", "brrip",
-                  "random"});
+                 {"hawkeye", "srrip", "lru", "brrip", "random"});
 }
 
 RunStats

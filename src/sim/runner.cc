@@ -40,16 +40,16 @@ thread_local const CancellationToken *tl_job_cancel = nullptr;
 constexpr std::chrono::milliseconds kWaitPoll{2};
 
 /**
- * Estimated resident footprint of one trace: the four SoA arrays
- * (pc[] + addr[] + precomputed lineAddr[] at 8 bytes each, packed
- * meta[] at 4), which dominate a Runner's memory by orders of
- * magnitude over baselines and profiles.
+ * Estimated resident footprint of one trace: its three SoA arrays
+ * (pc[] and addr[] at 8 bytes a record, packed meta[] at 4: 20 bytes
+ * a record), which dominate a Runner's memory by orders of magnitude
+ * over baselines and profiles.
  */
 std::size_t
 residentBytes(const trace::Trace &t)
 {
-    return t.size() * (3 * sizeof(std::uint64_t)
-                       + sizeof(std::uint32_t));
+    return t.size()
+        * (sizeof(PC) + sizeof(Addr) + sizeof(std::uint32_t));
 }
 } // anonymous namespace
 
@@ -211,6 +211,26 @@ Runner::evictLruTrace()
     lastUse.erase(victim->first);
     workloadCache.erase(victim);
     return freed;
+}
+
+void
+Runner::releaseTrace(const std::string &workload)
+{
+    std::shared_ptr<const Workload> dropped;
+    {
+        std::lock_guard<std::mutex> lock(cacheMu);
+        auto it = workloadCache.find(workload);
+        if (it == workloadCache.end() || !it->second)
+            return; // not loaded, or still loading
+        dropped = std::move(it->second);
+        workloadCache.erase(it);
+        lastUse.erase(workload);
+    }
+    static metrics::Counter &releases =
+        metrics::counter("runner.trace_releases");
+    releases.inc();
+    // `dropped` is destroyed here, outside cacheMu — or later, by the
+    // last run still pinning it.
 }
 
 const trace::Trace &

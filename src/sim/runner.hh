@@ -45,7 +45,9 @@ struct Rpg2Outcome
 /**
  * The experiment runner. One instance caches traces, baseline runs
  * and profiles across the jobs of a driver run (or, resident in the
- * serve daemon, across requests).
+ * serve daemon, across requests). A driver run drops each workload's
+ * trace after that workload's last job (releaseTrace); baselines and
+ * profiles, which are small, stay for the Runner's lifetime.
  *
  * Thread safety: all public methods may be called concurrently from
  * sweep-engine workers. Each workload's trace (with its generator),
@@ -99,8 +101,27 @@ class Runner
     static void setThreadJobCancellation(
         const CancellationToken *token);
 
-    /** The (cached) trace of a workload. */
+    /**
+     * The (cached) trace of a workload. The reference stays valid
+     * until the workload's entry is dropped (releaseTrace,
+     * evictLruTrace) and no run pins it any more.
+     */
     const trace::Trace &traceFor(const std::string &workload);
+
+    /**
+     * Drop @p workload's loaded entry — its trace and generator —
+     * with its LRU stamp, and count it in runner.trace_releases. A
+     * no-op when the workload is not loaded or is still loading. A
+     * run that pins the entry keeps it alive until that run
+     * finishes; a later use reloads it from the trace cache, or
+     * regenerates it, bit-identically. The entry is freed after
+     * cacheMu is released, so freeing a large trace never blocks
+     * other callers' lookups. A reference traceFor returned earlier
+     * dangles once the entry is freed: callers must hold none across
+     * a release (the driver releases a workload only after its last
+     * job finished, and `trace-cache warm` right after loading it).
+     */
+    void releaseTrace(const std::string &workload);
 
     /** The workload's indirect resolver (may be nullptr). */
     const trace::IndirectResolver *

@@ -7,12 +7,13 @@
  * Storage is structure-of-arrays: the record loop is bandwidth-bound,
  * and the hot consumers (System::run, kernel identification, the
  * trace-analysis passes) each read only a subset of the record
- * fields. Four parallel arrays — pc, byte address, precomputed line
- * address, and a packed instGap/flags word — let each consumer stream
+ * fields. Three parallel arrays — pc, byte address, and a packed
+ * instGap/flags word, 20 bytes per record — let each consumer stream
  * exactly the bytes it needs, and let trace (de)serialization move
- * whole arrays with single bulk I/O calls. `operator[]` materializes
- * a TraceRecord by value so record-at-a-time call sites keep working
- * unchanged.
+ * whole arrays with single bulk I/O calls. Line addresses are never
+ * stored: a consumer that needs one shifts it from the byte address
+ * (lineAddr). `operator[]` materializes a TraceRecord by value so
+ * record-at-a-time call sites keep working unchanged.
  */
 
 #ifndef PROPHET_TRACE_TRACE_HH
@@ -31,7 +32,8 @@ namespace prophet::trace
 {
 
 /**
- * A whole-workload memory access trace. Appending maintains the total
+ * A whole-workload memory access trace: three SoA arrays at 20 bytes
+ * per record (see the file comment). Appending maintains the total
  * retired-instruction count (memory instructions + instruction gaps).
  */
 class Trace
@@ -96,7 +98,6 @@ class Trace
     {
         pcs.reserve(n);
         addrs.reserve(n);
-        lines.reserve(n);
         metas.reserve(n);
     }
 
@@ -108,7 +109,6 @@ class Trace
         totalInsts += inst_gap + 1;
         pcs.push_back(pc);
         addrs.push_back(addr);
-        lines.push_back(lineAddr(addr));
         metas.push_back(packMeta(inst_gap, depends_on_prev, is_write));
     }
 
@@ -121,10 +121,10 @@ class Trace
     }
 
     /**
-     * Adopt bulk-loaded arrays (binary trace loads). Line addresses
-     * and the instruction count are recomputed, so only the three
-     * stored arrays travel through I/O. @p metas_in words must use the
-     * packMeta encoding; undefined bits are masked off.
+     * Adopt bulk-loaded arrays (binary trace loads). The instruction
+     * count is recomputed, so only the three stored arrays travel
+     * through I/O. @p metas_in words must use the packMeta encoding;
+     * undefined bits are masked off.
      */
     void
     adopt(BulkVector<PC> pcs_in, BulkVector<Addr> addrs_in,
@@ -133,17 +133,12 @@ class Trace
         pcs = std::move(pcs_in);
         addrs = std::move(addrs_in);
         metas = std::move(metas_in);
-        const std::size_t n = addrs.size();
-        lines.resize(n);
-        // Single-purpose passes the compiler can vectorize (the
-        // fused per-record loop stayed scalar): a pure u64 shift for
-        // the line addresses, then mask + gap sum over the u32 meta
-        // words. The sum accumulates into a 32-bit partial per chunk
-        // — 32768 gaps of <= 0xffff cannot overflow — so the
-        // reduction stays in vector width instead of widening every
-        // element to u64.
-        for (std::size_t i = 0; i < n; ++i)
-            lines[i] = lineAddr(addrs[i]);
+        const std::size_t n = metas.size();
+        // A single-purpose pass the compiler can vectorize: mask +
+        // gap sum over the u32 meta words. The sum accumulates into a
+        // 32-bit partial per chunk — 32768 gaps of <= 0xffff cannot
+        // overflow — so the reduction stays in vector width instead
+        // of widening every element to u64.
         constexpr std::uint32_t defined =
             kGapMask | kDependsBit | kWriteBit;
         constexpr std::size_t kSumChunk = 32768;
@@ -185,9 +180,6 @@ class Trace
 
     /** Byte address of every record. */
     const Addr *addrData() const { return addrs.data(); }
-
-    /** Precomputed line address (addr >> kLineShift) of every record. */
-    const Addr *lineAddrData() const { return lines.data(); }
 
     /** Packed instGap/flags word of every record (see packMeta). */
     const std::uint32_t *metaData() const { return metas.data(); }
@@ -249,7 +241,6 @@ class Trace
   private:
     BulkVector<PC> pcs;
     BulkVector<Addr> addrs;
-    BulkVector<Addr> lines;           ///< precomputed line addresses
     BulkVector<std::uint32_t> metas;  ///< packed instGap/flags
     std::uint64_t totalInsts = 0;
 };

@@ -4,7 +4,8 @@
  * JSON sink must match the equivalent direct Runner calls bit-for-bit
  * (same doubles, same counters), results must be independent of the
  * thread count — with the work jobs share computed once at any thread
- * count — and the run must carry its metadata.
+ * count, and each trace dropped after its workload's last job — and
+ * the run must carry its metadata.
  */
 
 #include <gtest/gtest.h>
@@ -280,6 +281,80 @@ TEST_F(DriverTest, ConcurrentJobsShareTracesBaselinesAndProfiles)
     EXPECT_EQ(metrics::histogram("phase.trace_load_ns").count(), 2u);
     EXPECT_EQ(metrics::histogram("phase.profile_ns").count(), 2u);
     EXPECT_EQ(metrics::counter("sim.runs").value(), 10u);
+}
+
+/** Three workloads x two pipelines, no trace cache. */
+ExperimentSpec
+threeWorkloadSpec()
+{
+    json::Value doc;
+    EXPECT_TRUE(json::parse(
+        "{\"name\": \"release\","
+        " \"workloads\": [\"mcf\", \"omnetpp\", \"sphinx3\"],"
+        " \"pipelines\": [\"baseline\", \"triangel\"],"
+        " \"metrics\": [\"speedup\"],"
+        " \"records\": " + std::to_string(kRecords) + ","
+        " \"trace_cache\": false}",
+        doc, nullptr));
+    return ExperimentSpec::fromJson(doc);
+}
+
+TEST_F(DriverTest, RunDropsEachTraceAfterItsWorkloadsLastJob)
+{
+    // At any thread count each workload's trace loads once and is
+    // released once, after its last job; the results are unchanged.
+    std::vector<ExperimentReport> reports;
+    for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        DriverOptions opts;
+        opts.threads = threads;
+        reports.push_back(
+            ExperimentDriver(threeWorkloadSpec(), opts).run());
+        ASSERT_TRUE(reports.back().ok());
+        EXPECT_EQ(metrics::counter("runner.trace_releases").value(), 3u);
+        EXPECT_EQ(metrics::histogram("phase.trace_load_ns").count(), 3u);
+    }
+    ASSERT_EQ(reports[0].results.size(), reports[1].results.size());
+    for (std::size_t i = 0; i < reports[0].results.size(); ++i) {
+        SCOPED_TRACE(reports[0].results[i].workload + "/"
+                     + reports[0].results[i].pipeline);
+        expectStatsEq(reports[0].results[i].stats,
+                      reports[1].results[i].stats);
+        EXPECT_EQ(reports[0].results[i].metrics,
+                  reports[1].results[i].metrics);
+    }
+}
+
+TEST_F(DriverTest, ResidentRunnerKeepsItsTraces)
+{
+    // The serve daemon's Runner outlives the run to warm the next
+    // request, so the driver releases nothing from it.
+    const ExperimentSpec spec = threeWorkloadSpec();
+    sim::Runner resident(spec.baseConfig(), kRecords);
+    DriverOptions opts;
+    opts.threads = 4;
+    opts.runner = &resident;
+    auto report = ExperimentDriver(spec, opts).run();
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(metrics::counter("runner.trace_releases").value(), 0u);
+    EXPECT_EQ(resident.residentTraces().size(), 3u);
+}
+
+TEST_F(DriverTest, FailedJobStillReleasesItsWorkload)
+{
+    // mcf/triangel is mcf's last job; it fails on its only attempt,
+    // and that failure is what finishes mcf.
+    auto spec = threeWorkloadSpec();
+    spec.keepGoing = true;
+    DriverOptions opts;
+    opts.threads = 1;
+    fault::reset();
+    fault::arm("job.mcf/triangel", 1);
+    auto report = ExperimentDriver(std::move(spec), opts).run();
+    fault::reset();
+    EXPECT_EQ(report.failedJobs, 1u);
+    EXPECT_EQ(metrics::counter("runner.trace_releases").value(), 3u);
+    EXPECT_EQ(metrics::histogram("phase.trace_load_ns").count(), 3u);
 }
 
 TEST_F(DriverTest, TraceCacheDoesNotChangeResults)

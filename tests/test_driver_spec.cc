@@ -289,6 +289,26 @@ TEST(Spec, RejectsMvbGeometriesTheBufferCannotBuild)
     specOk(prophet("\"mvb_entries\": 4, \"mvb_candidates\": 4"));
 }
 
+TEST(Spec, RejectsPlruMetadataReplacement)
+{
+    // Tree-PLRU needs a power-of-two associativity, and the Markov
+    // table's (maxWays x 12) never is one: the spec must fail
+    // validation (exit 3), not abort the process on the policy's
+    // assertion.
+    auto triage = [](const std::string &name, const std::string &repl) {
+        return "{\"workloads\": [\"mcf\"], \"pipelines\":"
+               " [{\"name\": \"" + name + "\", \"meta_replacement\":"
+               " \"" + repl + "\"}]}";
+    };
+    for (const char *name : {"triage", "triage4"}) {
+        SCOPED_TRACE(name);
+        auto err = specErr(triage(name, "plru"));
+        EXPECT_NE(err.find("meta_replacement"), std::string::npos)
+            << err;
+        specOk(triage(name, "lru"));
+    }
+}
+
 TEST(Spec, HashIsContentBased)
 {
     // Aliases, comments, trailing commas and formatting do not change

@@ -480,14 +480,18 @@ TEST_F(JournalTest, ResumeAfterCompletionReplaysEverything)
         auto report = drv.run();
         EXPECT_TRUE(report.ok());
         first = csvOutput(report);
+        EXPECT_EQ(counterValue("runner.trace_releases"), 2u);
     }
     ExperimentDriver drv(resumableSpec(csv), opts);
     auto report = drv.run();
     EXPECT_TRUE(report.ok());
     EXPECT_EQ(report.resumedJobs, 4u);
     // Replayed jobs carry their metrics: nothing simulates, not even
-    // the baselines "speedup" divides by.
+    // the baselines "speedup" divides by, and no trace is loaded, so
+    // none is released.
     EXPECT_EQ(counterValue("sim.runs"), 0u);
+    EXPECT_EQ(metrics::histogram("phase.trace_load_ns").count(), 0u);
+    EXPECT_EQ(counterValue("runner.trace_releases"), 0u);
     EXPECT_EQ(csvOutput(report), first);
 }
 

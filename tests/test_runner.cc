@@ -5,14 +5,17 @@
  * gcc inputs, and the normalization helpers every figure uses.
  *
  * These are the repository's end-to-end checks that the paper's
- * headline orderings emerge from the mechanisms. The last group pins
+ * headline orderings emerge from the mechanisms. The next group pins
  * the Runner's compute-once caches under concurrency: shared work
  * runs once, and cancellation of either the computing or a waiting
- * caller behaves.
+ * caller behaves. The last pins trace residency: a trace costs 20
+ * bytes a record, and releasing it frees it without disturbing a run
+ * that still uses it.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -365,6 +368,103 @@ TEST(RunnerSharing, ExpiredWaiterStopsBeforeTheComputerFinishes)
     computer.join();
     EXPECT_FALSE(computer_error);
     EXPECT_GT(r.baseline("mcf").ipc, 0.0);
+}
+
+// ---------------------------------------------------------------
+// Trace residency and release.
+// ---------------------------------------------------------------
+
+TEST(RunnerRelease, ResidentTraceCostsTwentyBytesPerRecord)
+{
+    // pc[] and addr[] at 8 bytes a record, meta[] at 4.
+    Runner r(SystemConfig::table1(), 20'000);
+    const std::size_t n = r.traceFor("mcf").size();
+    ASSERT_GT(n, 0u);
+    auto resident = r.residentTraces();
+    ASSERT_EQ(resident.size(), 1u);
+    EXPECT_EQ(resident[0].workload, "mcf");
+    EXPECT_EQ(resident[0].bytes, n * 20);
+    EXPECT_EQ(r.residentTraceBytes(), n * 20);
+}
+
+TEST(RunnerRelease, ReleaseDropsTheTraceAndALaterUseReloadsIt)
+{
+    Runner r(SystemConfig::table1(), 20'000);
+    // Copies: the reference dangles once the release frees the trace.
+    const trace::Trace &first = r.traceFor("mcf");
+    const std::size_t n = first.size();
+    const std::vector<PC> pcs(first.pcData(), first.pcData() + n);
+    const std::vector<Addr> addrs(first.addrData(),
+                                  first.addrData() + n);
+    const std::vector<std::uint32_t> metas(first.metaData(),
+                                           first.metaData() + n);
+    const std::uint64_t insts = first.totalInstructions();
+
+    const std::uint64_t releases = counterValue("runner.trace_releases");
+    r.releaseTrace("mcf");
+    EXPECT_TRUE(r.residentTraces().empty());
+    EXPECT_EQ(r.residentTraceBytes(), 0u);
+    EXPECT_EQ(counterValue("runner.trace_releases"), releases + 1);
+
+    // A second release of the same workload, or of one never loaded,
+    // drops nothing.
+    r.releaseTrace("mcf");
+    r.releaseTrace("omnetpp");
+    EXPECT_EQ(counterValue("runner.trace_releases"), releases + 1);
+
+    // The next use loads the trace again, array for array.
+    metrics::Histogram &loads = metrics::histogram("phase.trace_load_ns");
+    const std::uint64_t loaded = loads.count();
+    const trace::Trace &again = r.traceFor("mcf");
+    EXPECT_EQ(loads.count(), loaded + 1);
+    ASSERT_EQ(again.size(), n);
+    EXPECT_TRUE(std::equal(pcs.begin(), pcs.end(), again.pcData()));
+    EXPECT_TRUE(std::equal(addrs.begin(), addrs.end(), again.addrData()));
+    EXPECT_TRUE(std::equal(metas.begin(), metas.end(), again.metaData()));
+    EXPECT_EQ(again.totalInstructions(), insts);
+    EXPECT_EQ(r.residentTraces().size(), 1u);
+}
+
+TEST(RunnerRelease, ReleaseDuringARunLeavesItsStatsUnchanged)
+{
+    SystemConfig cfg = SystemConfig::table1();
+    cfg.l2Pf = L2PfKind::Triangel;
+    Runner unreleased(SystemConfig::table1(), kSharedRecords);
+    const RunStats want = unreleased.runConfig("mcf", cfg);
+
+    // Release the trace while a run on another thread pins it: the
+    // entry leaves the cache at once, and the trace lives until the
+    // run lets go of it.
+    Runner r(SystemConfig::table1(), kSharedRecords);
+    std::atomic<bool> done{false};
+    RunStats got;
+    std::thread runner_thread([&] {
+        got = r.runConfig("mcf", cfg);
+        done.store(true);
+    });
+    auto pinned = [&] {
+        auto resident = r.residentTraces();
+        return !resident.empty() && resident[0].inUse;
+    };
+    while (!pinned() && !done.load())
+        std::this_thread::yield();
+    const std::uint64_t releases = counterValue("runner.trace_releases");
+    r.releaseTrace("mcf");
+    const bool done_at_release = done.load();
+    EXPECT_TRUE(r.residentTraces().empty());
+    runner_thread.join();
+    EXPECT_FALSE(done_at_release);
+    EXPECT_EQ(counterValue("runner.trace_releases"), releases + 1);
+    EXPECT_TRUE(r.residentTraces().empty());
+
+    EXPECT_EQ(got.ipc, want.ipc);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.records, want.records);
+    EXPECT_EQ(got.l2DemandMisses, want.l2DemandMisses);
+    EXPECT_EQ(got.l2PrefetchesIssued, want.l2PrefetchesIssued);
+    EXPECT_EQ(got.l2PrefetchesUseful, want.l2PrefetchesUseful);
+    EXPECT_EQ(got.dramReads, want.dramReads);
+    EXPECT_EQ(got.pcMisses, want.pcMisses);
 }
 
 } // anonymous namespace

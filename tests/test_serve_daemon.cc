@@ -474,6 +474,26 @@ TEST_F(ServeDaemonTest, UnbuildableMvbIsRejectedAndDaemonServesOn)
     daemon.drainAndStop();
 }
 
+TEST_F(ServeDaemonTest, PlruMetadataReplacementIsRejectedAndDaemonServesOn)
+{
+    ServeDaemon daemon(opts);
+    daemon.start();
+    // Tree-PLRU cannot build the Markov table's non-power-of-two
+    // associativity and would abort the whole daemon; spec
+    // validation turns it into an error frame for this request.
+    json::Value resp = roundTrip(
+        sock, runRequest("{\"workloads\": [\"mcf\"],"
+                         " \"records\": 20000,"
+                         " \"trace_cache\": false,"
+                         " \"pipelines\": [{\"name\": \"triage\","
+                         " \"meta_replacement\": \"plru\"}]}"));
+    EXPECT_EQ(frameType(resp), "error");
+    EXPECT_EQ(errorCodeOf(resp), "spec-parse");
+    resp = roundTrip(sock, runRequest(specText()));
+    EXPECT_EQ(frameType(resp), "result") << errorCodeOf(resp);
+    daemon.drainAndStop();
+}
+
 TEST_F(ServeDaemonTest, OversizePayloadShedBeforeParsing)
 {
     opts.maxFrameBytes = 1024;

@@ -614,8 +614,12 @@ cmdTraceCacheWarm(const Flags &flags)
         sim::Runner runner(sim::SystemConfig::table1(), records);
         runner.setTraceCache(cache);
         sim::SweepEngine engine(threads);
+        // Each workload is dropped as soon as it is on disk (loaded,
+        // or generated and stored), so warming holds one trace per
+        // worker rather than every trace of the group.
         engine.forEach(names.size(), [&](std::size_t i) {
             runner.traceFor(names[i]);
+            runner.releaseTrace(names[i]);
         });
         warmed += names.size();
     }

@@ -145,10 +145,12 @@ runJobWithRetry(sim::Runner &runner,
                                 std::move(ctx));
                 sim::RunStats stats = runner.run(inst, slot.workload);
                 std::vector<std::pair<std::string, double>> values;
-                for (const auto &m : metric_names)
+                for (const auto &m : metric_names) {
+                    const MetricDef *def = findMetric(m);
+                    prophet_assert(def != nullptr);
                     values.emplace_back(
-                        m, computeMetric(runner, m, slot.workload,
-                                         stats));
+                        m, def->compute(runner, slot.workload, stats));
+                }
                 slot.stats = std::move(stats);
                 slot.metrics = std::move(values);
                 return;
@@ -311,26 +313,6 @@ renderOutputs(const ExperimentSpec &spec, const ExperimentReport &report)
 }
 
 } // anonymous namespace
-
-double
-computeMetric(sim::Runner &runner, const std::string &metric,
-              const std::string &workload,
-              const sim::RunStats &stats)
-{
-    if (metric == "speedup")
-        return runner.speedup(workload, stats);
-    if (metric == "traffic")
-        return runner.trafficNorm(workload, stats);
-    if (metric == "coverage")
-        return runner.coverage(workload, stats);
-    if (metric == "accuracy")
-        return stats.prefetchAccuracy();
-    if (metric == "ipc")
-        return stats.ipc;
-    if (metric == "meta_lines")
-        return static_cast<double>(stats.offchipMeta.total());
-    prophet_fatal("unknown metric name");
-}
 
 ExperimentDriver::ExperimentDriver(ExperimentSpec spec_in,
                                    DriverOptions opts_in)

@@ -177,11 +177,6 @@ class ExperimentDriver
     DriverOptions opts;
 };
 
-/** Compute one metric by name for a finished run. */
-double computeMetric(sim::Runner &runner, const std::string &metric,
-                     const std::string &workload,
-                     const sim::RunStats &stats);
-
 /**
  * The documented process exit code a finished report maps onto —
  * shared by the `prophet run` CLI and the serve daemon's response

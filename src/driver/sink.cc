@@ -91,7 +91,7 @@ printMetric(std::string &out, const ExperimentSpec &spec,
     for (const auto &c : cols)
         geo.push_back(stats::Table::fmt(stats::geomean(c)));
     table.addRow(std::move(geo));
-    appendf(out, "%s\n%s\n", metricDisplayName(metric).c_str(),
+    appendf(out, "%s\n%s\n", findMetric(metric)->title,
             table.render().c_str());
 }
 
@@ -312,24 +312,6 @@ renderCsv(const ExperimentSpec &spec,
 }
 
 } // anonymous namespace
-
-std::string
-metricDisplayName(const std::string &metric)
-{
-    if (metric == "speedup")
-        return "Performance Speedup";
-    if (metric == "traffic")
-        return "Normalized DRAM Traffic";
-    if (metric == "coverage")
-        return "Prefetching Coverage";
-    if (metric == "accuracy")
-        return "Prefetching Accuracy";
-    if (metric == "ipc")
-        return "IPC";
-    if (metric == "meta_lines")
-        return "Off-chip Metadata Lines";
-    return metric;
-}
 
 std::string
 renderSink(const SinkSpec &sink, const ExperimentSpec &spec,

@@ -114,10 +114,6 @@ std::string renderSink(const SinkSpec &sink, const ExperimentSpec &spec,
  */
 bool writeSinkOutput(const SinkOutput &out);
 
-/** Figure-style heading for a metric ("speedup" ->
- *  "Performance Speedup"). */
-std::string metricDisplayName(const std::string &metric);
-
 } // namespace prophet::driver
 
 #endif // PROPHET_DRIVER_SINK_HH

@@ -8,6 +8,7 @@
 
 #include "common/checksum.hh"
 #include "common/log.hh"
+#include "sim/runner.hh"
 #include "workloads/registry.hh"
 
 namespace prophet::driver
@@ -381,14 +382,47 @@ parseSinkKind(const std::string &name, SinkSpec::Kind &kind)
     return false;
 }
 
-const std::vector<std::string> &
-knownMetrics()
+const std::vector<MetricDef> &
+metricTable()
 {
-    static const std::vector<std::string> names = {
-        "speedup", "traffic", "coverage", "accuracy", "ipc",
-        "meta_lines",
+    using sim::RunStats;
+    using sim::Runner;
+    static const std::vector<MetricDef> table = {
+        {"speedup", "Performance Speedup",
+         [](Runner &r, const std::string &w, const RunStats &s) {
+             return r.speedup(w, s);
+         }},
+        {"traffic", "Normalized DRAM Traffic",
+         [](Runner &r, const std::string &w, const RunStats &s) {
+             return r.trafficNorm(w, s);
+         }},
+        {"coverage", "Prefetching Coverage",
+         [](Runner &r, const std::string &w, const RunStats &s) {
+             return r.coverage(w, s);
+         }},
+        {"accuracy", "Prefetching Accuracy",
+         [](Runner &, const std::string &, const RunStats &s) {
+             return s.prefetchAccuracy();
+         }},
+        {"ipc", "IPC",
+         [](Runner &, const std::string &, const RunStats &s) {
+             return s.ipc;
+         }},
+        {"meta_lines", "Off-chip Metadata Lines",
+         [](Runner &, const std::string &, const RunStats &s) {
+             return static_cast<double>(s.offchipMeta.total());
+         }},
     };
-    return names;
+    return table;
+}
+
+const MetricDef *
+findMetric(const std::string &name)
+{
+    for (const MetricDef &m : metricTable())
+        if (name == m.name)
+            return &m;
+    return nullptr;
 }
 
 ExperimentSpec
@@ -469,12 +503,9 @@ ExperimentSpec::fromJson(const json::Value &root)
         spec.metrics = asStringList(*v, "metrics");
         if (spec.metrics.empty())
             specFail("\"metrics\" must name at least one metric");
-        for (const auto &m : spec.metrics) {
-            const auto &known = knownMetrics();
-            if (std::find(known.begin(), known.end(), m)
-                == known.end())
+        for (const auto &m : spec.metrics)
+            if (!findMetric(m))
                 specFail("unknown metric \"" + m + "\"");
-        }
     }
 
     if (const json::Value *v = root.find("records"))

@@ -113,7 +113,8 @@ struct ExperimentSpec
 
     /**
      * Sampled fast-mode execution (sampling.enabled == false when
-     * the spec has no "sampling" key — the exact full-trace loop).
+     * the spec has no "sampling" key — a full run, the one-window
+     * schedule).
      * Included in toJson()/resultHash() only when enabled, so
      * pre-sampling specs keep their hashes.
      */
@@ -173,8 +174,28 @@ struct ExperimentSpec
     sim::SystemConfig baseConfig() const;
 };
 
-/** The metric names the driver can compute. */
-const std::vector<std::string> &knownMetrics();
+/**
+ * One metric a spec can report: the name a spec uses, the title the
+ * table sink prints above it, and how a job derives it from its
+ * stats (speedup, traffic and coverage divide by the workload's
+ * cached baseline).
+ */
+struct MetricDef
+{
+    const char *name;
+    const char *title;
+    double (*compute)(sim::Runner &runner, const std::string &workload,
+                      const sim::RunStats &stats);
+};
+
+/** Every metric a spec can name, in documentation order. */
+const std::vector<MetricDef> &metricTable();
+
+/**
+ * The metric named @p name, or nullptr when there is none (fromJson
+ * rejects such a spec, so a parsed spec's names always resolve).
+ */
+const MetricDef *findMetric(const std::string &name);
 
 } // namespace prophet::driver
 

@@ -622,20 +622,28 @@ ServeDaemon::maybeEvict()
     static metrics::Counter &evictions =
         metrics::counter("serve.evictions");
     // Eviction and admission share mu: a request cannot enter
-    // `active` while traces are being dropped, and evictLruTrace
-    // itself skips anything a straggling shared_ptr still pins.
+    // `active` while traces are being dropped, and a trace that a
+    // straggling shared_ptr still pins is skipped.
     std::lock_guard<std::mutex> lock(mu);
     if (!active.empty() || !queue.empty())
         return;
     while (currentRssMb() > opts.maxRssMb) {
-        std::size_t freed = 0;
-        for (auto &[key, runner] : runners) {
-            freed = runner->evictLruTrace();
-            if (freed > 0)
-                break;
-        }
-        if (freed == 0)
+        // Use ticks are process-wide, so the smallest is the least
+        // recently used idle trace across every configuration.
+        sim::Runner *owner = nullptr;
+        sim::Runner::ResidentTrace victim;
+        for (auto &[key, runner] : runners)
+            for (auto &t : runner->residentTraces())
+                if (!t.inUse
+                    && (!owner || t.lastUse < victim.lastUse)) {
+                    owner = runner.get();
+                    victim = std::move(t);
+                }
+        if (!owner)
             return; // nothing left to drop; the watermark stands
+        prophet_infof("serve: evicting resident trace %s (%zu bytes)",
+                      victim.workload.c_str(), victim.bytes);
+        owner->releaseTrace(victim.workload);
         evictions.inc();
     }
 }

@@ -20,9 +20,10 @@
  *  - a client that disconnects mid-run has its request token fired
  *    (the orphaned jobs unwind within a bounded number of records)
  *    and its slot freed;
- *  - an RSS high-watermark evicts idle resident traces (LRU, only
- *    while zero requests are in flight — eviction and admission
- *    share one lock, so a trace can never vanish under a run);
+ *  - an RSS high-watermark evicts idle resident traces (least
+ *    recently used first across every configuration, only while
+ *    zero requests are in flight — eviction and admission share one
+ *    lock, so a trace can never vanish under a run);
  *  - SIGTERM drain: stop accepting, let in-flight requests finish
  *    within a grace window, cancel the stragglers, flush, exit 6.
  *
@@ -81,8 +82,9 @@ struct ServeOptions
 
     /**
      * RSS high-watermark in MiB; above it the monitor evicts idle
-     * resident traces LRU-first (counted in "serve.evictions").
-     * 0 disables the watermark.
+     * resident traces, least recently used first across every
+     * configuration (counted in "serve.evictions" and
+     * "runner.trace_releases"). 0 disables the watermark.
      */
     std::size_t maxRssMb = 0;
 

@@ -90,13 +90,4 @@ CoreModel::mark()
     markInsts = instCount;
 }
 
-double
-CoreModel::ipcSinceMark() const
-{
-    double cycles = std::max(issueClock, retireClock) - markCycles;
-    if (cycles <= 0.0)
-        return 0.0;
-    return static_cast<double>(instCount - markInsts) / cycles;
-}
-
 } // namespace prophet::sim

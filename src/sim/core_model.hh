@@ -70,19 +70,16 @@ class CoreModel
     double ipc() const;
 
     /**
-     * Mark the warmup boundary: ipcSinceMark()/statsWindow use only
-     * work after this point.
+     * Open a measurement window: cyclesSinceMark() and
+     * instructionsSinceMark() count only work after this point.
      */
     void mark();
 
-    /** IPC measured after the last mark(). */
-    double ipcSinceMark() const;
-
     /**
-     * Exact (fractional) cycles elapsed since the last mark(). The
-     * sampled run path accumulates these per measurement window;
-     * keeping the value fractional until the final rounding is what
-     * lets a whole-trace window reproduce finalCycles() bit for bit.
+     * Exact (fractional) cycles elapsed since the last mark(). System
+     * accumulates these per measurement window; keeping the value
+     * fractional until the final rounding is what lets a full run's
+     * window reproduce finalCycles() bit for bit.
      */
     double cyclesSinceMark() const
     {

@@ -1,5 +1,6 @@
 #include "sim/runner.hh"
 
+#include <atomic>
 #include <chrono>
 
 #include "common/log.hh"
@@ -38,6 +39,13 @@ thread_local const CancellationToken *tl_job_cancel = nullptr;
  * seen within one interval.
  */
 constexpr std::chrono::milliseconds kWaitPoll{2};
+
+/**
+ * The use tick every Runner stamps on a resident trace it hands out:
+ * one process-wide sequence, so the serve daemon can order the
+ * traces of all its Runners least recently used first.
+ */
+std::atomic<std::uint64_t> g_useTick{0};
 
 /**
  * Estimated resident footprint of one trace: its three SoA arrays
@@ -146,7 +154,7 @@ Runner::workloadEntry(const std::string &workload)
         resident_hits.inc();
     }
     std::lock_guard<std::mutex> lock(cacheMu);
-    lastUse[workload] = ++useTick;
+    lastUse[workload] = ++g_useTick;
     return entry;
 }
 
@@ -181,36 +189,6 @@ Runner::residentTraceBytes()
             total += residentBytes(entry->trace);
     }
     return total;
-}
-
-std::size_t
-Runner::evictLruTrace()
-{
-    std::lock_guard<std::mutex> lock(cacheMu);
-    auto victim = workloadCache.end();
-    std::uint64_t oldest = ~std::uint64_t{0};
-    for (auto it = workloadCache.begin(); it != workloadCache.end();
-         ++it) {
-        // A null entry is still loading. use_count > 1 = some run
-        // still holds the entry (runConfig pins it for the duration
-        // of the simulation); evicting would not free memory.
-        if (!it->second || it->second.use_count() > 1)
-            continue;
-        auto lu = lastUse.find(it->first);
-        std::uint64_t tick = lu == lastUse.end() ? 0 : lu->second;
-        if (tick < oldest) {
-            oldest = tick;
-            victim = it;
-        }
-    }
-    if (victim == workloadCache.end())
-        return 0;
-    std::size_t freed = residentBytes(victim->second->trace);
-    prophet_infof("runner: evicting resident trace %s (%zu bytes)",
-                  victim->first.c_str(), freed);
-    lastUse.erase(victim->first);
-    workloadCache.erase(victim);
-    return freed;
 }
 
 void
@@ -291,6 +269,11 @@ Runner::profileWorkload(const std::string &workload)
     return *computeOnce(profileCache, workload, [&] {
         std::shared_ptr<const Workload> entry = workloadEntry(workload);
         span::Span profile_span("profile " + workload, "sim");
+        // The Simplified kind is the profiling pass: System publishes
+        // its wall time under "phase.profile_ns", since the offline
+        // pass is a per-workload cost amortized across a sweep, not
+        // part of the timing-simulation throughput the phase split
+        // measures.
         SystemConfig cfg = base;
         cfg.l2Pf = L2PfKind::Simplified;
         // Profiling is the offline compile step that produces the
@@ -299,10 +282,6 @@ Runner::profileWorkload(const std::string &workload)
         // or sampled Prophet runs would measure a crippled binary,
         // not a sampled machine.
         cfg.sampling = SamplingConfig{};
-        // Published under "phase.profile_ns": the offline pass is a
-        // per-workload cost amortized across a sweep, not part of the
-        // timing-simulation throughput the phase split measures.
-        cfg.profilingRun = true;
         System system(cfg, entry->generator->resolver());
         system.setCancellation(tl_job_cancel);
         system.run(entry->trace);
@@ -342,8 +321,8 @@ Runner::runRpg2(const std::string &workload)
     Rpg2Outcome out;
     const RunStats &base_stats = baseline(workload);
     // Pin the workload for the whole pipeline: kernel identification
-    // reads it outside runConfig, and a pinned entry can never be
-    // evicted from under us by a concurrent evictLruTrace.
+    // reads it outside runConfig, and a concurrent releaseTrace frees
+    // a pinned entry only once the pin is dropped.
     std::shared_ptr<const Workload> entry = workloadEntry(workload);
     out.kernels = rpg2::identifyKernels(
         entry->trace, base_stats.pcMisses, entry->generator->resolver());

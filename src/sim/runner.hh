@@ -103,8 +103,8 @@ class Runner
 
     /**
      * The (cached) trace of a workload. The reference stays valid
-     * until the workload's entry is dropped (releaseTrace,
-     * evictLruTrace) and no run pins it any more.
+     * until the workload's entry is dropped (releaseTrace) and no
+     * run pins it any more.
      */
     const trace::Trace &traceFor(const std::string &workload);
 
@@ -183,7 +183,9 @@ class Runner
     {
         std::string workload;
         std::size_t bytes = 0;   ///< SoA array footprint estimate
-        std::uint64_t lastUse = 0; ///< monotonic use tick (LRU order)
+        /** Process-wide use tick: comparable across Runners, so the
+         *  smallest is the least recently used trace of them all. */
+        std::uint64_t lastUse = 0;
         bool inUse = false;      ///< pinned by an in-flight run
     };
 
@@ -192,17 +194,6 @@ class Runner
 
     /** Total estimated bytes of all resident traces. */
     std::size_t residentTraceBytes();
-
-    /**
-     * Evict the least-recently-used resident trace that no run
-     * currently pins (shared_ptr use count 1) and no caller is still
-     * loading. Returns the bytes freed, 0 when nothing is evictable.
-     * The next request for the workload transparently reloads from
-     * the on-disk trace cache (or regenerates). Callers that hand out
-     * unpinned references (the serve daemon) must only evict while no
-     * request is in flight; pinned traces are skipped regardless.
-     */
-    std::size_t evictLruTrace();
 
     /** The base configuration (pipelines derive variants from it). */
     const SystemConfig &baseConfig() const { return base; }
@@ -247,8 +238,8 @@ class Runner
 
     /**
      * The workload's resident entry, loaded (from the trace cache, or
-     * generated) on first use. Holding the pointer pins the entry
-     * against evictLruTrace.
+     * generated) on first use. Holding the pointer pins the entry:
+     * a release while it is held frees nothing until it is dropped.
      */
     std::shared_ptr<const Workload>
     workloadEntry(const std::string &workload);
@@ -271,9 +262,9 @@ class Runner
     OnceMap<RunStats> baselineCache;
     OnceMap<core::ProfileSnapshot> profileCache;
 
-    /** LRU bookkeeping for evictLruTrace: a monotonic tick stamped
-     *  per workload on every resident-trace use (under cacheMu). */
-    std::uint64_t useTick = 0;
+    /** LRU bookkeeping for residentTraces(): the process-wide use
+     *  tick stamped per workload on every resident-trace use (under
+     *  cacheMu). */
     std::map<std::string, std::uint64_t> lastUse;
 };
 

@@ -32,6 +32,16 @@ makeL1Pf(L1PfKind kind)
     return nullptr;
 }
 
+/** Wall nanoseconds since @p start. */
+std::uint64_t
+nsSince(std::chrono::steady_clock::time_point start)
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start)
+            .count());
+}
+
 } // anonymous namespace
 
 SystemConfig
@@ -56,12 +66,6 @@ System::System(const SystemConfig &config,
     : cfg(config), resolver(resolver), coreModel(config.core),
       hier(config.hier), l1Pf(makeL1Pf(config.l1Pf))
 {
-    // The sync check is a mask test, which silently misfires on a
-    // non-power-of-two interval; round up front instead.
-    cfg.partitionSyncInterval =
-        normalizePartitionSyncInterval(cfg.partitionSyncInterval);
-    syncMask = cfg.partitionSyncInterval - 1;
-
     switch (cfg.l2Pf) {
       case L2PfKind::None:
         break;
@@ -108,13 +112,9 @@ System::System(const SystemConfig &config,
 System::~System() = default;
 
 void
-System::setCancellation(const CancellationToken *token,
-                        std::size_t interval)
+System::setCancellation(const CancellationToken *token)
 {
     cancelToken = token;
-    // Same mask-test idiom as the partition sync: round the interval
-    // to a power of two so the hot-path check stays one AND.
-    cancelMask = normalizePartitionSyncInterval(interval) - 1;
 }
 
 void
@@ -132,10 +132,12 @@ System::beginRun(std::size_t expected_records)
 {
     warmBoundary = std::min<std::size_t>(cfg.warmupRecords,
                                          expected_records / 2);
-    warmed = false;
     runStartTime = std::chrono::steady_clock::now();
-    warmupEndTime = runStartTime;
     recordIndex = 0;
+    detailedTotal = 0;
+    warmWallNs = 0;
+    windowWallNs = 0;
+    windowAccum = WindowAccum{};
     usefulCount = 0;
     lateCount = 0;
     issuedBeforeMark = 0;
@@ -157,16 +159,28 @@ System::beginRun(std::size_t expected_records)
 void
 System::step(const trace::TraceRecord &rec)
 {
-    stepRecord(rec.pc, rec.addr, rec.instGap, rec.dependsOnPrev,
-               rec.isWrite);
+    // run()'s full-run schedule, a record at a time.
+    if (recordIndex < warmBoundary) {
+        stepRecordImpl<false>(rec.pc, rec.addr, rec.instGap,
+                              rec.dependsOnPrev, rec.isWrite);
+        return;
+    }
+    if (recordIndex == warmBoundary) {
+        warmWallNs = nsSince(runStartTime);
+        windowBegin();
+    }
+    stepRecordImpl<true>(rec.pc, rec.addr, rec.instGap,
+                         rec.dependsOnPrev, rec.isWrite);
 }
 
-void
-System::stepRecord(PC pc, Addr addr, std::uint16_t inst_gap,
-                   bool depends_on_prev, bool is_write)
+RunStats
+System::finish()
 {
-    stepRecordImpl<true>(pc, addr, inst_gap, depends_on_prev,
-                         is_write);
+    if (recordIndex > warmBoundary) {
+        windowEnd();
+        windowWallNs = nsSince(runStartTime) - warmWallNs;
+    }
+    return finishRun(recordIndex, false);
 }
 
 template <bool Detailed>
@@ -177,27 +191,12 @@ System::stepRecordImpl(PC pc, Addr addr, std::uint16_t inst_gap,
     // Cooperative cancellation: a pure read at coarse intervals, so
     // a token that never fires leaves the run bit-identical — and a
     // detached token (the common case) costs one predictable branch.
-    if (cancelToken && (recordIndex & cancelMask) == 0
+    if (cancelToken && (recordIndex & (kPollRecords - 1)) == 0
         && cancelToken->cancelled()) {
         ErrorContext ctx;
         ctx.offset = recordIndex;
         throw Error(ErrorCode::Cancelled,
                     "simulation cancelled mid-run", std::move(ctx));
-    }
-
-    if (Detailed && !warmed && recordIndex >= warmBoundary) {
-        // Warmup boundary: reset the statistics windows. (The body
-        // runs once per run, so the clock read is off the per-record
-        // cost; the condition itself is unchanged. Sampled runs set
-        // warmed up front and manage their windows explicitly.)
-        warmupEndTime = std::chrono::steady_clock::now();
-        hier.resetStats();
-        coreModel.mark();
-        usefulCount = 0;
-        lateCount = 0;
-        pcMissCounts.clear();
-        issuedBeforeMark = hier.l2PrefetchesIssued();
-        warmed = true;
     }
 
     Cycle cycle = coreModel.beginAccess(inst_gap, depends_on_prev);
@@ -261,79 +260,9 @@ System::stepRecordImpl(PC pc, Addr addr, std::uint16_t inst_gap,
         }
     }
 
-    if (syncActive && (recordIndex & syncMask) == 0)
+    if (syncActive && (recordIndex & (kPollRecords - 1)) == 0)
         syncPartition();
     ++recordIndex;
-}
-
-RunStats
-System::finish()
-{
-    std::uint64_t issued_after_warmup =
-        hier.l2PrefetchesIssued() - issuedBeforeMark;
-
-    RunStats s;
-    s.ipc = coreModel.ipcSinceMark();
-    s.cycles = coreModel.finalCycles();
-    s.instructions = coreModel.retiredInstructions();
-    s.records = recordIndex;
-
-    const auto &l1s = hier.l1().stats();
-    const auto &l2s = hier.l2().stats();
-    const auto &llcs = hier.llc().stats();
-    s.l1Misses = l1s.demandMisses;
-    s.l2DemandAccesses = l2s.demandHits + l2s.demandMisses;
-    s.l2DemandMisses = l2s.demandMisses;
-    s.llcMisses = llcs.demandMisses;
-    s.l1Accesses = l1s.demandHits + l1s.demandMisses;
-    s.l2Accesses = s.l2DemandAccesses;
-    s.llcAccesses = llcs.demandHits + llcs.demandMisses;
-
-    s.l2PrefetchesIssued = issued_after_warmup;
-    s.l2PrefetchesUseful = usefulCount;
-    s.latePrefetches = lateCount;
-
-    const auto &ds = hier.dram().stats();
-    s.dramReads = ds.reads;
-    s.dramWrites = ds.writes;
-    s.dramPrefetchReads = ds.prefetchReads;
-
-    if (l2Pf)
-        l2Pf->collectStats(s.markov, s.offchipMeta);
-    s.finalMetadataWays = l2Pf ? l2Pf->metadataWays() : 0;
-
-    s.pcMisses = std::move(pcMissCounts);
-
-    // Publish the warmup/simulate wall split and the record count.
-    // Registry lookups resolve once per process; the references stay
-    // valid across driver-run resets.
-    static metrics::Histogram &warmup_ns =
-        metrics::histogram("phase.warmup_ns");
-    static metrics::Histogram &simulate_ns =
-        metrics::histogram("phase.simulate_ns");
-    static metrics::Histogram &profile_ns =
-        metrics::histogram("phase.profile_ns");
-    static metrics::Counter &records_counter =
-        metrics::counter("sim.records");
-    static metrics::Counter &runs_counter = metrics::counter("sim.runs");
-    auto end = std::chrono::steady_clock::now();
-    if (cfg.profilingRun) {
-        // The offline profiling pass: one bucket for the whole run,
-        // keeping the warmup/simulate split a pure timing-simulation
-        // measure (sampled-vs-full speedups stay comparable even
-        // though profiling itself is never sampled).
-        profile_ns.recordDuration(end - runStartTime);
-    } else if (warmed) {
-        warmup_ns.recordDuration(warmupEndTime - runStartTime);
-        simulate_ns.recordDuration(end - warmupEndTime);
-    } else {
-        // The run never crossed the warm boundary (cancelled early,
-        // or a zero-length trace): it was all warmup.
-        warmup_ns.recordDuration(end - runStartTime);
-    }
-    records_counter.inc(recordIndex);
-    runs_counter.inc();
-    return s;
 }
 
 void
@@ -373,49 +302,31 @@ System::windowEnd()
         hier.l2PrefetchesIssued() - issuedBeforeMark;
 }
 
-RunStats
-System::runSampled(const trace::Trace &t)
+bool
+System::runWindows(const trace::Trace &t, const SamplingConfig &schedule)
 {
     const std::size_t n = t.size();
-    beginRun(n);
-    traceRecords = n;
-    detailedTotal = 0;
-    warmWallNs = 0;
-    windowWallNs = 0;
-    windowAccum = WindowAccum{};
-    // Neutralize the full-run warmup boundary: sampled runs reset
-    // their statistics windows explicitly in windowBegin().
-    warmed = true;
-
     // Normalized schedule: a window never exceeds its interval, and
     // a zero interval degenerates to back-to-back windows (the spec
     // parser rejects both up front; direct System users get the
     // defensive clamp).
     const std::size_t window =
-        std::max<std::size_t>(cfg.sampling.windowRecords, 1);
+        std::max<std::size_t>(schedule.windowRecords, 1);
     const std::size_t interval =
-        std::max(cfg.sampling.intervalRecords, window);
-    const std::size_t warm = cfg.sampling.warmupRecords;
-    const std::size_t offset = cfg.sampling.offset;
+        std::max(schedule.intervalRecords, window);
+    const std::size_t warm = schedule.warmupRecords;
+    const std::size_t offset = schedule.offset;
 
     const PC *pcs = t.pcData();
     const Addr *addrs = t.addrData();
     const std::uint32_t *metas = t.metaData();
-
-    using clock = std::chrono::steady_clock;
-    auto deltaNs = [](clock::time_point a, clock::time_point b) {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(b
-                                                                 - a)
-                .count());
-    };
 
     // Window k occupies the last `window` records of interval k:
     // [offset + (k+1)*interval - window, offset + (k+1)*interval).
     // Before it, up to `warm` records are functionally warmed;
     // everything earlier (back to the previous window's end) is
     // fast-forwarded without any state change — that skipped region
-    // is where the throughput comes from.
+    // is where a sampled run's throughput comes from.
     std::size_t pos = 0;
     for (std::size_t k = 0;; ++k) {
         const std::size_t sched_end = offset + (k + 1) * interval;
@@ -428,7 +339,7 @@ System::runSampled(const trace::Trace &t)
         warm_start = std::max(warm_start, pos);
 
         if (warm_start < win_start) {
-            auto t0 = clock::now();
+            auto t0 = std::chrono::steady_clock::now();
             for (std::size_t i = warm_start; i < win_start; ++i) {
                 const std::uint32_t m = metas[i];
                 stepRecordImpl<false>(pcs[i], addrs[i],
@@ -436,10 +347,10 @@ System::runSampled(const trace::Trace &t)
                                       trace::Trace::dependsOf(m),
                                       trace::Trace::writeOf(m));
             }
-            warmWallNs += deltaNs(t0, clock::now());
+            warmWallNs += nsSince(t0);
         }
 
-        auto t0 = clock::now();
+        auto t0 = std::chrono::steady_clock::now();
         windowBegin();
         for (std::size_t i = win_start; i < win_end; ++i) {
             const std::uint32_t m = metas[i];
@@ -449,69 +360,46 @@ System::runSampled(const trace::Trace &t)
                                  trace::Trace::writeOf(m));
         }
         windowEnd();
-        windowWallNs += deltaNs(t0, clock::now());
+        windowWallNs += nsSince(t0);
         detailedTotal += win_end - win_start;
         pos = win_end;
     }
-
-    if (detailedTotal == 0 && n > 0) {
-        // The schedule never reached the trace (offset or interval
-        // beyond its length): nothing was simulated, so estimates
-        // would be meaningless. Fall back to an exact full run —
-        // slower, never wrong.
-        prophet_warnf("sampling: no measurement window fits %zu "
-                      "records (interval=%zu window=%zu offset=%zu); "
-                      "falling back to a full detailed run",
-                      n, interval, window, offset);
-        warmed = false;
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint32_t m = metas[i];
-            stepRecordImpl<true>(pcs[i], addrs[i],
-                                 trace::Trace::gapOf(m),
-                                 trace::Trace::dependsOf(m),
-                                 trace::Trace::writeOf(m));
-        }
-        return finish();
-    }
-    return finishSampled();
+    return detailedTotal > 0;
 }
 
 RunStats
-System::finishSampled()
+System::finishRun(std::size_t records, bool sampled)
 {
-    const auto n = static_cast<std::uint64_t>(traceRecords);
+    const auto n = static_cast<std::uint64_t>(records);
 
-    // Scale window measurements to estimate the full run's measured
-    // region — everything past the statistics-warmup boundary the
-    // same configuration would place. A schedule whose windows cover
-    // exactly that region gets scale 1 (and, with full-trace
-    // warming, reproduces the full run bit for bit).
-    const std::size_t full_boundary =
-        std::min<std::size_t>(cfg.warmupRecords, traceRecords / 2);
-    const auto target =
-        static_cast<std::uint64_t>(traceRecords - full_boundary);
-    const double scale = detailedTotal > 0
-        ? static_cast<double>(target)
-            / static_cast<double>(detailedTotal)
-        : 1.0;
-
+    // A sampled run scales window measurements to estimate the full
+    // run's measured region — everything past the statistics-warmup
+    // boundary the same configuration would place. A schedule whose
+    // windows cover exactly that region gets scale 1 (and, with
+    // full-trace warming, reproduces the full run bit for bit).
     // Prefetcher-lifetime counters (Markov events, off-chip metadata
     // traffic) accumulate over every warm + detailed record
-    // (recordIndex); scale those by the observed fraction instead.
-    const double meta_scale = recordIndex > 0
-        ? static_cast<double>(n) / static_cast<double>(recordIndex)
-        : 1.0;
+    // (recordIndex); those scale by the observed fraction instead.
+    RunStats s;
+    s.records = n;
+    double scale = 1.0;
+    double meta_scale = 1.0;
+    if (sampled) {
+        const std::size_t full_boundary =
+            std::min<std::size_t>(cfg.warmupRecords, records / 2);
+        scale = static_cast<double>(n - full_boundary)
+            / static_cast<double>(detailedTotal);
+        meta_scale =
+            static_cast<double>(n) / static_cast<double>(recordIndex);
+        s.sampled = true;
+        s.sampledRecords = detailedTotal;
+        s.sampleScale = scale;
+    }
 
     auto sc = [](std::uint64_t v, double s) {
         return static_cast<std::uint64_t>(
             std::llround(static_cast<double>(v) * s));
     };
-
-    RunStats s;
-    s.sampled = true;
-    s.sampledRecords = detailedTotal;
-    s.sampleScale = scale;
-    s.records = n;
 
     // IPC is a ratio of window-local quantities: no scaling.
     s.ipc = windowAccum.cycles > 0.0
@@ -569,21 +457,40 @@ System::finishSampled()
 
     // Observability: effective (trace) records, so sweep throughput
     // and --progress report coverage rather than simulated-record
-    // counts; the detailed fraction goes to its own counter.
-    static metrics::Histogram &warm_ns =
-        metrics::histogram("phase.warm_ns");
-    static metrics::Histogram &simulate_ns =
-        metrics::histogram("phase.simulate_ns");
+    // counts. Registry lookups resolve once per process (each
+    // branch's on its first use, so a run publishes only its own
+    // kind's instruments); the references stay valid across
+    // driver-run resets.
+    if (cfg.l2Pf == L2PfKind::Simplified) {
+        // Prophet's offline profiling pass (Section 3.2): one bucket
+        // for the whole run, keeping the warm/simulate split a pure
+        // timing-simulation measure (sampled-vs-full speedups stay
+        // comparable even though profiling itself is never sampled).
+        static metrics::Histogram &profile_ns =
+            metrics::histogram("phase.profile_ns");
+        profile_ns.record(nsSince(runStartTime));
+    } else if (sampled) {
+        static metrics::Histogram &warm_ns =
+            metrics::histogram("phase.warm_ns");
+        static metrics::Histogram &simulate_ns =
+            metrics::histogram("phase.simulate_ns");
+        static metrics::Counter &sampled_counter =
+            metrics::counter("sim.sampled_records");
+        warm_ns.record(warmWallNs);
+        simulate_ns.record(windowWallNs);
+        sampled_counter.inc(detailedTotal);
+    } else {
+        static metrics::Histogram &warmup_ns =
+            metrics::histogram("phase.warmup_ns");
+        static metrics::Histogram &simulate_ns =
+            metrics::histogram("phase.simulate_ns");
+        warmup_ns.record(warmWallNs);
+        simulate_ns.record(windowWallNs);
+    }
     static metrics::Counter &records_counter =
         metrics::counter("sim.records");
-    static metrics::Counter &sampled_counter =
-        metrics::counter("sim.sampled_records");
-    static metrics::Counter &runs_counter =
-        metrics::counter("sim.runs");
-    warm_ns.record(warmWallNs);
-    simulate_ns.record(windowWallNs);
+    static metrics::Counter &runs_counter = metrics::counter("sim.runs");
     records_counter.inc(n);
-    sampled_counter.inc(detailedTotal);
     runs_counter.inc();
     return s;
 }
@@ -591,26 +498,27 @@ System::finishSampled()
 RunStats
 System::run(const trace::Trace &t)
 {
-    if (cfg.sampling.enabled)
-        return runSampled(t);
-
-    beginRun(t.size());
-
-    // The whole-trace loop reads the trace's SoA arrays directly — no
-    // TraceRecord is materialized — through the same stepRecord body
-    // as step(), so run() is bit-identical to the scalar step() loop
-    // (pinned by tests/test_pipelines.cc).
     const std::size_t n = t.size();
-    const PC *pcs = t.pcData();
-    const Addr *addrs = t.addrData();
-    const std::uint32_t *metas = t.metaData();
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint32_t m = metas[i];
-        stepRecord(pcs[i], addrs[i], trace::Trace::gapOf(m),
-                   trace::Trace::dependsOf(m),
-                   trace::Trace::writeOf(m));
+    beginRun(n);
+    bool sampled = false;
+    if (cfg.sampling.enabled) {
+        sampled = runWindows(t, cfg.sampling);
+        if (!sampled)
+            prophet_warnf("sampling: no measurement window fits %zu "
+                          "records (interval=%zu window=%zu "
+                          "offset=%zu); falling back to a full "
+                          "detailed run",
+                          n, cfg.sampling.intervalRecords,
+                          cfg.sampling.windowRecords,
+                          cfg.sampling.offset);
     }
-    return finish();
+    if (!sampled) {
+        // The full run is the one-window schedule: warm up to the
+        // statistics boundary, then measure everything after it
+        // ({enabled, warmup, window, interval, offset}).
+        runWindows(t, {false, warmBoundary, n - warmBoundary, n, 0});
+    }
+    return finishRun(n, sampled);
 }
 
 } // namespace prophet::sim

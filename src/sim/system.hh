@@ -99,14 +99,23 @@ struct RunStats
 };
 
 /**
- * One simulated machine. Construct per run; drive it either with
- * run() over a whole trace, or record by record with
- * beginRun()/step()/finish() (microbenchmarks, allocation tests).
- * Either way, one simulation per System instance.
+ * One simulated machine. Construct per run and drive it with run(),
+ * which walks the trace as a schedule of measurement windows: the
+ * spec's sampling schedule, or the one-window schedule of a full run
+ * (warm up to the statistics boundary, measure everything after it).
+ * Tests also drive it record by record with beginRun()/step()/
+ * finish(). Either way, one simulation per System instance.
  */
 class System
 {
   public:
+    /**
+     * Records between two cancellation polls and between two LLC
+     * partition resyncs. A power of two, so each check is one mask
+     * test on the record index.
+     */
+    static constexpr std::size_t kPollRecords = 4096;
+
     /**
      * @param config System configuration.
      * @param resolver The workload's indirect resolver (RPG2);
@@ -118,24 +127,23 @@ class System
     ~System();
 
     /**
-     * Poll @p token every @p interval records (rounded up to a power
-     * of two) and abort the run with Error(ErrorCode::Cancelled) once
-     * it reports cancelled. Polling is side-effect free, so an
-     * attached-but-never-cancelled token leaves every statistic
-     * bit-identical to a run without one (regression-gated in
-     * tests/test_system.cc). nullptr detaches; takes effect at the
-     * next beginRun()/run().
+     * Poll @p token every kPollRecords records and abort the run with
+     * Error(ErrorCode::Cancelled) once it reports cancelled; the
+     * error's offset is the record index of the poll. Polling is
+     * side-effect free, so an attached-but-never-cancelled token
+     * leaves every statistic bit-identical to a run without one
+     * (regression-gated in tests/test_system.cc). nullptr detaches.
      */
-    void setCancellation(const CancellationToken *token,
-                         std::size_t interval = 4096);
+    void setCancellation(const CancellationToken *token);
 
     /**
      * Simulate the trace and return the statistics. With
-     * cfg.sampling.enabled the trace is run in sampled fast mode
-     * (functional warmup + detailed measurement windows, everything
-     * else fast-forwarded) and the window-measured statistics are
-     * scaled to full-run estimates; otherwise this is the exact
-     * full-trace loop, bit-identical to scalar step() calls.
+     * cfg.sampling.enabled and a window that fits the trace, the
+     * trace is run in sampled fast mode (functional warmup + detailed
+     * measurement windows, everything else fast-forwarded) and the
+     * window-measured statistics are scaled to full-run estimates;
+     * otherwise (with a warning when sampling was asked for) it is
+     * the full run's one-window schedule, reported unscaled.
      */
     RunStats run(const trace::Trace &t);
 
@@ -146,10 +154,22 @@ class System
      */
     void beginRun(std::size_t expected_records);
 
-    /** Simulate one record (between beginRun() and finish()). */
+    /**
+     * Simulate one record (between beginRun() and finish()): records
+     * before the warmup boundary are functionally warmed, and the
+     * measurement window opens at the boundary, exactly as run()
+     * steps a full trace.
+     */
     void step(const trace::TraceRecord &rec);
 
-    /** Close the run started by beginRun() and return its stats. */
+    /**
+     * Close the run started by beginRun() and return its unsampled
+     * stats, records = the records stepped. A run that stops short
+     * of the warmup boundary never opened its window: every
+     * window-measured statistic (ipc, misses, traffic, prefetch and
+     * per-PC counts) is 0, while cycles, instructions and the
+     * prefetcher-lifetime counters cover the warmed records.
+     */
     RunStats finish();
 
     /**
@@ -187,23 +207,11 @@ class System
      */
     bool syncActive = false;
 
-    /** (interval - 1) for the power-of-two partition-sync check. */
-    std::size_t syncMask = 0;
-
     /** Cancellation token to poll; nullptr = no polling at all. */
     const CancellationToken *cancelToken = nullptr;
 
-    /** (interval - 1) for the power-of-two cancellation poll. */
-    std::size_t cancelMask = 4096 - 1;
-
     std::size_t recordIndex = 0;
     std::size_t warmBoundary = 0;
-    bool warmed = false;
-
-    // ---- sampled-mode state (runSampled() only) ----
-
-    /** Trace length of the sampled run (RunStats::records). */
-    std::size_t traceRecords = 0;
 
     /** Detailed records stepped inside measurement windows. */
     std::uint64_t detailedTotal = 0;
@@ -218,9 +226,8 @@ class System
      * Per-window measurements summed across windows. Each window is
      * bracketed by windowBegin() (reset the hierarchy/core stats
      * windows) and windowEnd() (fold the window's deltas in here).
-     * Cycles stay fractional until finish() rounds once — that, plus
-     * resetting exactly like the full run's warmup boundary, is what
-     * makes a whole-trace window bit-identical to the full run.
+     * Cycles stay fractional until finishRun() rounds once, so a
+     * full run's single window reports finalCycles() bit for bit.
      */
     struct WindowAccum
     {
@@ -235,15 +242,9 @@ class System
     };
     WindowAccum windowAccum{};
 
-    /**
-     * Phase-timer clock points: one read at beginRun(), one inside
-     * the once-per-run warm-boundary body, one at finish() — never
-     * on the per-record path, so the records/sec gate is untouched.
-     * finish() publishes the warmup/simulate split to the
-     * "phase.warmup_ns"/"phase.simulate_ns" metrics histograms.
-     */
+    /** beginRun()'s clock read: where a profiling run's one sample
+     *  and the step() API's warm segment start. */
     std::chrono::steady_clock::time_point runStartTime{};
-    std::chrono::steady_clock::time_point warmupEndTime{};
 
     std::uint64_t usefulCount = 0;
     std::uint64_t lateCount = 0;
@@ -258,28 +259,25 @@ class System
     void syncPartition();
 
     /**
-     * The per-record simulation body shared by step() and run():
-     * identical logic on both paths is what makes the prefetched
-     * run() loop provably bit-identical to scalar stepping.
-     */
-    void stepRecord(PC pc, Addr addr, std::uint16_t inst_gap,
-                    bool depends_on_prev, bool is_write);
-
-    /**
-     * The shared record body. Detailed=true is the exact stepRecord
-     * path; Detailed=false is the functional-warm path of sampled
-     * runs — identical architectural state transitions (core timing,
-     * caches, every prefetcher's training, RPG2, partition sync), but
-     * no System-level statistic attribution (useful/late counters,
-     * per-PC miss map, warm-boundary bookkeeping). Sharing one
-     * template body keeps the two paths in lockstep by construction.
+     * The per-record simulation body. Detailed=true is a measurement
+     * window's record; Detailed=false is the functional-warm path —
+     * identical architectural state transitions (core timing, caches,
+     * every prefetcher's training, RPG2, partition sync), but no
+     * System-level statistic attribution (useful/late counters,
+     * per-PC miss map). Sharing one template body keeps the two paths
+     * in lockstep by construction.
      */
     template <bool Detailed>
     void stepRecordImpl(PC pc, Addr addr, std::uint16_t inst_gap,
                         bool depends_on_prev, bool is_write);
 
-    /** The sampled fast-mode trace loop (cfg.sampling.enabled). */
-    RunStats runSampled(const trace::Trace &t);
+    /**
+     * Step @p t through @p schedule's windows, each preceded by its
+     * functional warm segment (the only trace loop). Returns whether
+     * any window fit the trace; when none does, nothing was stepped.
+     */
+    bool runWindows(const trace::Trace &t,
+                    const SamplingConfig &schedule);
 
     /** Open a measurement window: reset the stats windows. */
     void windowBegin();
@@ -288,10 +286,12 @@ class System
     void windowEnd();
 
     /**
-     * Assemble a sampled run's RunStats: scale the window accumulators
-     * to full-trace estimates and publish the sampled-phase metrics.
+     * Assemble the RunStats of a run over @p records trace records
+     * and publish its phase metrics. A @p sampled run scales the
+     * window accumulators to full-trace estimates; otherwise every
+     * scale is 1 and the windows are reported as measured.
      */
-    RunStats finishSampled();
+    RunStats finishRun(std::size_t records, bool sampled);
 };
 
 } // namespace prophet::sim

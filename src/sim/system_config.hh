@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <string>
 
-#include "common/intmath.hh"
 #include "core/analyzer.hh"
 #include "core/prophet.hh"
 #include "mem/hierarchy.hh"
@@ -41,19 +40,6 @@ enum class L2PfKind
 };
 
 /**
- * Round a partition-sync interval up to the power of two the record
- * loop's mask test requires. System applies this to
- * SystemConfig::partitionSyncInterval at construction, so a
- * non-power-of-two request syncs at the next power of two instead of
- * silently misfiring.
- */
-constexpr std::size_t
-normalizePartitionSyncInterval(std::size_t interval)
-{
-    return interval <= 1 ? 1 : nextPowerOf2(interval);
-}
-
-/**
  * Sampled (fast-mode) execution: SimPoint/SMARTS-style region
  * sampling over the trace. The trace is tiled into intervals of
  * @ref intervalRecords; each interval ends in a detailed measurement
@@ -63,14 +49,16 @@ normalizePartitionSyncInterval(std::size_t interval)
  * the warm region of the next window are fast-forwarded — not
  * simulated at all — which is where the 10-50x effective throughput
  * comes from. Measured window statistics are scaled to estimates of
- * what a full run would have reported (see System::finish); a
+ * what a full run would have reported (see System::finishRun); a
  * schedule whose warm+window phases cover the whole trace is
  * bit-identical to the full run (regression-gated in
- * tests/test_sampling.cc).
+ * tests/test_sampling.cc). A full run is itself one such schedule:
+ * one window from the warmup boundary to the end, warmed over
+ * everything before it.
  */
 struct SamplingConfig
 {
-    /** Off by default: run() stays the exact full-trace loop. */
+    /** Off by default: run() steps the full run's one window. */
     bool enabled = false;
 
     /**
@@ -127,22 +115,6 @@ struct SystemConfig
 
     /** Sampled fast-mode execution (disabled by default). */
     SamplingConfig sampling{};
-
-    /**
-     * This run is Prophet's offline profiling pass (Section 3.2):
-     * its wall time is published as "phase.profile_ns" instead of
-     * the warmup/simulate split, so phase accounting separates the
-     * one-time per-workload analysis cost from timing simulation —
-     * the part sampling accelerates. Set by Runner::profileWorkload.
-     */
-    bool profilingRun = false;
-
-    /**
-     * Resync LLC way partition every this many records. Rounded up
-     * to a power of two (normalizePartitionSyncInterval) when the
-     * System is built.
-     */
-    std::size_t partitionSyncInterval = 4096;
 
     /** Default Table 1 configuration. */
     static SystemConfig table1();

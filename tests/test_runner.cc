@@ -425,6 +425,24 @@ TEST(RunnerRelease, ReleaseDropsTheTraceAndALaterUseReloadsIt)
     EXPECT_EQ(r.residentTraces().size(), 1u);
 }
 
+TEST(RunnerRelease, UseTicksOrderTracesAcrossRunners)
+{
+    // The serve daemon evicts the least recently used idle trace over
+    // every configuration's Runner, so their ticks share one sequence.
+    Runner a(SystemConfig::table1(), 20'000);
+    Runner b(SystemConfig::table1(), 20'000);
+    a.traceFor("mcf");
+    a.traceFor("omnetpp");
+    b.traceFor("sphinx3");
+    std::map<std::string, std::uint64_t> ticks;
+    for (Runner *r : {&a, &b})
+        for (const auto &t : r->residentTraces())
+            ticks[t.workload] = t.lastUse;
+    ASSERT_EQ(ticks.size(), 3u);
+    EXPECT_LT(ticks["mcf"], ticks["omnetpp"]);
+    EXPECT_LT(ticks["omnetpp"], ticks["sphinx3"]);
+}
+
 TEST(RunnerRelease, ReleaseDuringARunLeavesItsStatsUnchanged)
 {
     SystemConfig cfg = SystemConfig::table1();

@@ -3,11 +3,15 @@
  * Sampled fast-mode execution: determinism, the degenerate
  * full-coverage schedule's bit-identity with the exact run, window
  * scheduler edge cases (window > trace, zero interval, last partial
- * window, schedule past the trace), and scaling sanity.
+ * window, schedule past the trace), scaling sanity, and the phase
+ * metrics each kind of run publishes.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "common/metrics.hh"
 #include "sim/system.hh"
 #include "workloads/pattern_lib.hh"
 
@@ -184,7 +188,8 @@ TEST(Sampling, LastPartialWindowIsClippedAtTraceEnd)
 TEST(Sampling, ScheduleBeyondTraceFallsBackToFullRun)
 {
     // No window fits (offset past the trace): the run falls back to
-    // the exact full loop and reports unsampled statistics.
+    // the full run's one-window schedule and reports unsampled
+    // statistics.
     const std::size_t n = 30000;
     auto t = chaseTrace(3000, n);
     SystemConfig cfg = baseCfg();
@@ -199,6 +204,150 @@ TEST(Sampling, ScheduleBeyondTraceFallsBackToFullRun)
 
     EXPECT_FALSE(ss.sampled);
     expectStatsEqual(sf, ss);
+}
+
+TEST(Sampling, EmptyAndOneRecordTracesMatchTheStepApi)
+{
+    for (std::size_t n : {0, 1}) {
+        SCOPED_TRACE(n);
+        auto t = chaseTrace(3000, n);
+        System via_run(baseCfg());
+        auto sr = via_run.run(t);
+        System via_step(baseCfg());
+        via_step.beginRun(t.size());
+        for (std::size_t i = 0; i < t.size(); ++i)
+            via_step.step(t[i]);
+        auto ss = via_step.finish();
+        EXPECT_EQ(sr.records, n);
+        EXPECT_FALSE(sr.sampled);
+        expectStatsEqual(sr, ss);
+    }
+}
+
+/** The value of a registered counter, 0 when it is not registered. */
+std::uint64_t
+counterValue(const std::string &name)
+{
+    for (const auto &c : metrics::Registry::instance().snapshot().counters)
+        if (c.name == name)
+            return c.value;
+    return 0;
+}
+
+/** What one run adds to each run-phase instrument. */
+struct PhaseDelta
+{
+    std::uint64_t warmup = 0, warm = 0, simulate = 0, profile = 0;
+    std::uint64_t sampledRecords = 0;
+};
+
+/** Run @p cfg over @p t and report what it published. */
+PhaseDelta
+publishedBy(const SystemConfig &cfg, const trace::Trace &t,
+            RunStats *stats = nullptr)
+{
+    auto counts = [] {
+        return PhaseDelta{
+            metrics::histogram("phase.warmup_ns").count(),
+            metrics::histogram("phase.warm_ns").count(),
+            metrics::histogram("phase.simulate_ns").count(),
+            metrics::histogram("phase.profile_ns").count(),
+            counterValue("sim.sampled_records")};
+    };
+    const PhaseDelta before = counts();
+    System sys(cfg);
+    RunStats s = sys.run(t);
+    const PhaseDelta after = counts();
+    if (stats)
+        *stats = std::move(s);
+    return {after.warmup - before.warmup, after.warm - before.warm,
+            after.simulate - before.simulate,
+            after.profile - before.profile,
+            after.sampledRecords - before.sampledRecords};
+}
+
+SystemConfig
+sparseCfg()
+{
+    SystemConfig cfg = baseCfg();
+    cfg.sampling.enabled = true;
+    cfg.sampling.warmupRecords = 2000;
+    cfg.sampling.windowRecords = 4000;
+    cfg.sampling.intervalRecords = 20000;
+    return cfg;
+}
+
+TEST(Sampling, EachRunKindPublishesItsOwnPhases)
+{
+    auto t = chaseTrace(3000, 60000);
+
+    // A full run: its warm segment and its one window.
+    PhaseDelta full = publishedBy(baseCfg(), t);
+    EXPECT_EQ(full.warmup, 1u);
+    EXPECT_EQ(full.simulate, 1u);
+    EXPECT_EQ(full.warm, 0u);
+    EXPECT_EQ(full.profile, 0u);
+    EXPECT_EQ(full.sampledRecords, 0u);
+
+    // A sampled run: its warm segments, its windows, and its
+    // detailed record count.
+    RunStats sampled_stats;
+    PhaseDelta sampled = publishedBy(sparseCfg(), t, &sampled_stats);
+    ASSERT_TRUE(sampled_stats.sampled);
+    EXPECT_EQ(sampled.warm, 1u);
+    EXPECT_EQ(sampled.simulate, 1u);
+    EXPECT_EQ(sampled.warmup, 0u);
+    EXPECT_EQ(sampled.profile, 0u);
+    EXPECT_EQ(sampled.sampledRecords, sampled_stats.sampledRecords);
+
+    // A schedule that fits no window falls back to the full run and
+    // publishes like one.
+    SystemConfig beyond = sparseCfg();
+    beyond.sampling.offset = 1000000;
+    RunStats fallback_stats;
+    PhaseDelta fallback = publishedBy(beyond, t, &fallback_stats);
+    ASSERT_FALSE(fallback_stats.sampled);
+    EXPECT_EQ(fallback.warmup, 1u);
+    EXPECT_EQ(fallback.simulate, 1u);
+    EXPECT_EQ(fallback.warm, 0u);
+    EXPECT_EQ(fallback.profile, 0u);
+    EXPECT_EQ(fallback.sampledRecords, 0u);
+
+    // Prophet's profiling pass: one bucket for the whole run.
+    SystemConfig simplified = baseCfg();
+    simplified.l2Pf = L2PfKind::Simplified;
+    PhaseDelta profile = publishedBy(simplified, t);
+    EXPECT_EQ(profile.profile, 1u);
+    EXPECT_EQ(profile.warmup, 0u);
+    EXPECT_EQ(profile.simulate, 0u);
+    EXPECT_EQ(profile.warm, 0u);
+    EXPECT_EQ(profile.sampledRecords, 0u);
+}
+
+TEST(SamplingDeathTest, UnsampledRunsRegisterNoSampledRecordsCounter)
+{
+    // Registration is process-wide and permanent, so check it in a
+    // fresh process (the threadsafe style re-executes this binary):
+    // a --metrics-out document lists every registered counter, and
+    // an unsampled run's must not gain "sim.sampled_records".
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            auto t = chaseTrace(3000, 30000);
+            SystemConfig beyond = sparseCfg();
+            beyond.sampling.offset = 1000000;
+            SystemConfig simplified = baseCfg();
+            simplified.l2Pf = L2PfKind::Simplified;
+            for (const SystemConfig &cfg :
+                 {baseCfg(), beyond, simplified})
+                System(cfg).run(t);
+            bool registered = false;
+            for (const auto &c :
+                 metrics::Registry::instance().snapshot().counters)
+                registered |= c.name == "sim.sampled_records";
+            std::exit(registered ? 1 : 0);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Sampling, SparseScheduleScalesToFullTraceEstimates)

@@ -129,45 +129,6 @@ TEST(System, ProphetDisabledCsrMeansNoTemporalTraffic)
     EXPECT_EQ(s.finalMetadataWays, 0u);
 }
 
-TEST(System, PartitionSyncIntervalNormalization)
-{
-    // The helper rounds up to the power of two the mask test needs.
-    EXPECT_EQ(normalizePartitionSyncInterval(0), 1u);
-    EXPECT_EQ(normalizePartitionSyncInterval(1), 1u);
-    EXPECT_EQ(normalizePartitionSyncInterval(2), 2u);
-    EXPECT_EQ(normalizePartitionSyncInterval(3000), 4096u);
-    EXPECT_EQ(normalizePartitionSyncInterval(4096), 4096u);
-    EXPECT_EQ(normalizePartitionSyncInterval(4097), 8192u);
-}
-
-TEST(System, NonPowerOfTwoPartitionSyncIntervalBehavesLikeRounded)
-{
-    // Regression: the record loop checks `(i & (interval - 1)) == 0`,
-    // which silently misfires for a non-power-of-two interval (3000
-    // would have synced at records 0, 2048, 4096, 6144, ... or worse
-    // depending on the bit pattern). A non-power-of-two request must
-    // behave exactly like its rounded-up power of two.
-    auto t = chaseTrace(30000, 120000);
-
-    SystemConfig odd = baseCfg();
-    odd.l2Pf = L2PfKind::Triangel;
-    odd.partitionSyncInterval = 3000;
-    System sys_odd(odd);
-    auto so = sys_odd.run(t);
-
-    SystemConfig pow2 = baseCfg();
-    pow2.l2Pf = L2PfKind::Triangel;
-    pow2.partitionSyncInterval = 4096;
-    System sys_pow2(pow2);
-    auto sp = sys_pow2.run(t);
-
-    EXPECT_EQ(so.cycles, sp.cycles);
-    EXPECT_EQ(so.l2DemandMisses, sp.l2DemandMisses);
-    EXPECT_EQ(so.l2PrefetchesIssued, sp.l2PrefetchesIssued);
-    EXPECT_EQ(so.finalMetadataWays, sp.finalMetadataWays);
-    EXPECT_EQ(so.pcMisses, sp.pcMisses);
-}
-
 TEST(System, PcMissesAttributedToPcs)
 {
     auto t = chaseTrace(40000, 150000);
@@ -233,7 +194,7 @@ TEST(System, WritebacksGenerateDramWrites)
 
 TEST(System, AttachedButUnfiredCancellationIsBitIdentical)
 {
-    // The poll is `(recordIndex & mask) == 0 && token.cancelled()` —
+    // The poll reads the token every System::kPollRecords records —
     // no simulation state is touched, so attaching a token that
     // never fires must reproduce the plain run bit for bit. This is
     // what lets the driver attach one unconditionally.
@@ -244,7 +205,7 @@ TEST(System, AttachedButUnfiredCancellationIsBitIdentical)
 
     CancellationToken token;
     System sys(baseCfg());
-    sys.setCancellation(&token, 1024);
+    sys.setCancellation(&token);
     auto s = sys.run(t);
     EXPECT_EQ(s.ipc, ref.ipc);
     EXPECT_EQ(s.cycles, ref.cycles);
@@ -313,7 +274,7 @@ TEST(System, CancellingAChildLeavesItsParentAndSiblingsLive)
     System plain(baseCfg());
     auto ref = plain.run(t);
     System sys(baseCfg());
-    sys.setCancellation(&sibling, 1024);
+    sys.setCancellation(&sibling);
     auto s = sys.run(t);
     EXPECT_EQ(s.cycles, ref.cycles);
     EXPECT_EQ(s.records, ref.records);
@@ -347,7 +308,7 @@ TEST(System, DeadlinePassingMidRunUnwindsWithItsOffset)
     const auto start = CancellationToken::Clock::now();
     CancellationToken token(nullptr,
                             start + std::chrono::milliseconds(5));
-    sys.setCancellation(&token, 1024);
+    sys.setCancellation(&token);
     try {
         sys.run(t);
         FAIL() << "run outlived its deadline";
@@ -357,6 +318,7 @@ TEST(System, DeadlinePassingMidRunUnwindsWithItsOffset)
         // The poll that saw the deadline pins how far the run got.
         EXPECT_NE(e.context().offset, ErrorContext::kNoOffset);
         EXPECT_LT(e.context().offset, t.size());
+        EXPECT_EQ(e.context().offset % System::kPollRecords, 0u);
     }
 }
 

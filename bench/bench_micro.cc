@@ -1,8 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the hot simulator structures:
- * metadata-table insert/lookup, cache lookup, Bloom filter, training
- * unit, and the full per-record system step. These guard the
+ * metadata-table insert/lookup, cache lookup hit and miss-plus-fill,
+ * Bloom filter, training unit, and the full per-record system step. These guard the
  * simulator's own performance (figure benches run hundreds of
  * millions of these operations).
  */
@@ -73,6 +73,36 @@ BM_CacheLookupHit(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheLookupHit);
+
+/**
+ * The cache miss path on the LLC's geometry (2 MB, 16-way LRU): each
+ * iteration is one demand lookup that misses plus the fill that
+ * evicts. Every line address is new, so no lookup hits and, after
+ * the warm-up fills, every fill replaces a line.
+ */
+void
+BM_CacheMissFill(benchmark::State &state)
+{
+    mem::Cache cache(
+        mem::CacheConfig{"LLC", 2 * 1024 * 1024, 16, 20, 36, "lru"});
+    const Addr capacity = 2 * 1024 * 1024 / kLineSize;
+    for (Addr a = 0; a < capacity; ++a)
+        cache.fill(a, 0, mem::PfClass::None, kInvalidPC, false);
+    Addr a = capacity;
+    Cycle cycle = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache.lookupDemand(a, cycle).hit);
+        benchmark::DoNotOptimize(
+            cache.fill(a, cycle + 200, mem::PfClass::None, kInvalidPC,
+                       false)
+                .valid);
+        a += 37;
+        ++cycle;
+    }
+    if (cache.stats().demandHits != 0)
+        state.SkipWithError("a lookup hit; the bench measures misses");
+}
+BENCHMARK(BM_CacheMissFill);
 
 void
 BM_BloomInsertEstimate(benchmark::State &state)

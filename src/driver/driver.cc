@@ -640,18 +640,22 @@ ExperimentDriver::run()
     // measured window + Prophet's profiling pass), "trace-load" the
     // generate-or-cache-load phase. The finer per-phase split — with
     // profiling broken out so sampled-vs-full speedups compare pure
-    // timing simulation — is in --metrics-out "phases".
-    report.meta.traceLoadSeconds =
-        static_cast<double>(
-            metrics::histogram("phase.trace_load_ns").sum())
-        / 1e9;
-    report.meta.simulateSeconds =
-        static_cast<double>(
-            metrics::histogram("phase.warmup_ns").sum()
-            + metrics::histogram("phase.warm_ns").sum()
-            + metrics::histogram("phase.profile_ns").sum()
-            + metrics::histogram("phase.simulate_ns").sum())
-        / 1e9;
+    // timing simulation — is in --metrics-out "phases". The sums come
+    // from a snapshot because looking a histogram up by name
+    // registers it, and that report lists every registered phase: a
+    // phase that never ran must stay absent.
+    std::uint64_t trace_load_ns = 0, simulate_ns = 0;
+    for (const metrics::HistogramSample &h :
+         metrics::Registry::instance().snapshot().histograms) {
+        if (h.name == "phase.trace_load_ns")
+            trace_load_ns = h.snap.sum;
+        else if (h.name == "phase.warmup_ns" || h.name == "phase.warm_ns"
+                 || h.name == "phase.profile_ns"
+                 || h.name == "phase.simulate_ns")
+            simulate_ns += h.snap.sum;
+    }
+    report.meta.traceLoadSeconds = static_cast<double>(trace_load_ns) / 1e9;
+    report.meta.simulateSeconds = static_cast<double>(simulate_ns) / 1e9;
 
     report.outputs = renderOutputs(spec, report);
 

@@ -12,6 +12,14 @@
 namespace prophet::mem
 {
 
+namespace
+{
+
+/** A one in every nibble: times a way id, that id in every nibble. */
+constexpr std::uint64_t kNibbleOnes = 0x1111111111111111ull;
+
+} // anonymous namespace
+
 Cache::Cache(const CacheConfig &config)
     : label(config.name),
       sets(config.numSets()),
@@ -22,14 +30,39 @@ Cache::Cache(const CacheConfig &config)
       tagLo(tags.size(), kInvalidTagLo),
       flags(tags.size(), 0),
       cold(tags.size()),
-      wayIds(config.assoc),
-      repl(makePolicy(config.replacement))
+      plru(config.replacement == "plru")
 {
     prophet_assert(sets > 0 && isPowerOf2(sets));
-    prophet_assert(waysTotal > 0);
-    for (unsigned w = 0; w < waysTotal; ++w)
-        wayIds[w] = w;
-    repl->reset(sets, waysTotal);
+    if (!plru && config.replacement != "lru")
+        prophet_fatal("unknown cache replacement policy name");
+    if (waysTotal == 0 || waysTotal > 16)
+        prophet_fatal("cache associativity must be 1 to 16 ways");
+    if (plru && !isPowerOf2(waysTotal))
+        prophet_fatal("tree-PLRU needs a power-of-two associativity");
+
+    std::uint64_t reset = 0;
+    if (plru) {
+        // Way w is leaf assoc - 1 + w of the heap. Walking up from
+        // it, each parent on the path is noted, and a touch points
+        // it at the other child: right (1) when the path comes from
+        // the left child.
+        for (unsigned w = 0; w < waysTotal; ++w) {
+            for (unsigned node = waysTotal - 1 + w; node > 0;) {
+                const unsigned parent = (node - 1) / 2;
+                const auto bit = static_cast<std::uint16_t>(1u << parent);
+                pathMask[w] |= bit;
+                if (node == 2 * parent + 1)
+                    pathBits[w] |= bit;
+                node = parent;
+            }
+        }
+    } else {
+        // Way assoc - 1 in nibble 0 (most recent) down to way 0 in
+        // nibble assoc - 1 (least recent).
+        for (unsigned w = 0; w < waysTotal; ++w)
+            reset = reset << 4 | w;
+    }
+    replWords.assign(sets, reset);
 }
 
 template <bool kFindHole>
@@ -97,6 +130,45 @@ Cache::findWay(unsigned set, Addr line_addr) const
     return scanSet<false>(set, line_addr, nullptr);
 }
 
+inline void
+Cache::touch(unsigned set, unsigned way)
+{
+    std::uint64_t &w = replWords[set];
+    if (plru) {
+        w = (w & ~std::uint64_t{pathMask[way]}) | pathBits[way];
+        return;
+    }
+    // The way's nibble is the lowest zero nibble of the order XOR the
+    // way in every nibble. The zero-nibble test flags the lowest one
+    // exactly (a borrow can only flag nibbles above it). The more
+    // recent nibbles below it move up one place, and the way goes to
+    // nibble 0.
+    const std::uint64_t x = w ^ (way * kNibbleOnes);
+    const std::uint64_t zero = (x - kNibbleOnes) & ~x & (kNibbleOnes << 3);
+    const unsigned shift =
+        static_cast<unsigned>(__builtin_ctzll(zero)) & ~3u;
+    const std::uint64_t newer = (std::uint64_t{1} << shift) - 1;
+    w = (w & ~((newer << 4) | 0xfu)) | ((w & newer) << 4) | way;
+}
+
+inline unsigned
+Cache::victim(unsigned set) const
+{
+    const std::uint64_t w = replWords[set];
+    if (plru) {
+        unsigned node = 0;
+        while (node < waysTotal - 1)
+            node = 2 * node + 1 + static_cast<unsigned>((w >> node) & 1);
+        return node - (waysTotal - 1);
+    }
+    // The least recent demand way. Every way id is in the order and
+    // reserved < assoc, so the walk stops at a demand way.
+    unsigned i = waysTotal - 1;
+    while ((static_cast<unsigned>(w >> (4 * i)) & 0xfu) < reserved)
+        --i;
+    return static_cast<unsigned>(w >> (4 * i)) & 0xfu;
+}
+
 LookupResult
 Cache::lookupDemand(Addr line_addr, Cycle cycle)
 {
@@ -128,7 +200,7 @@ Cache::lookupDemand(Addr line_addr, Cycle cycle)
             ++statsData.latePrefetchHits;
     }
     ++statsData.demandHits;
-    repl->touch(set, static_cast<unsigned>(way));
+    touch(set, static_cast<unsigned>(way));
     return res;
 }
 
@@ -152,7 +224,7 @@ Cache::lookupPrefetch(Addr line_addr, Cycle cycle)
                  cold[lineIndex(set, static_cast<unsigned>(way))]
                      .readyAt)
         + latency;
-    repl->touch(set, static_cast<unsigned>(way));
+    touch(set, static_cast<unsigned>(way));
     return res;
 }
 
@@ -176,7 +248,7 @@ Cache::fill(Addr line_addr, Cycle ready_at, PfClass pf_class, PC pf_pc,
             flags[idx] |= kFlagDirty;
         if (ready_at < cold[idx].readyAt)
             cold[idx].readyAt = ready_at;
-        repl->touch(set, static_cast<unsigned>(existing));
+        touch(set, static_cast<unsigned>(existing));
         return Eviction{};
     }
 
@@ -185,13 +257,10 @@ Cache::fill(Addr line_addr, Cycle ready_at, PfClass pf_class, PC pf_pc,
     // An invalid demand way, when there is one, takes the line.
     Eviction ev;
     if (target < 0) {
-        // All demand ways hold valid lines: the candidate set is the
-        // contiguous [reserved, waysTotal) suffix of wayIds, so no
-        // per-miss candidate vector is ever built.
-        prophet_assert(reserved < waysTotal);
-        unsigned victim = repl->victim(set, wayIds.data() + reserved,
-                                       waysTotal - reserved);
-        std::size_t vidx = lineIndex(set, victim);
+        // All demand ways hold lines this fill path inserted, each at
+        // a distinct recency, so the victim is never a tie.
+        const unsigned vway = victim(set);
+        std::size_t vidx = lineIndex(set, vway);
         std::uint8_t vf = flags[vidx];
         ev.valid = true;
         ev.lineAddr = tags[vidx];
@@ -202,7 +271,7 @@ Cache::fill(Addr line_addr, Cycle ready_at, PfClass pf_class, PC pf_pc,
             ++statsData.writebacks;
         if (ev.unusedPrefetch)
             ++statsData.unusedPrefetchEvictions;
-        target = static_cast<int>(victim);
+        target = static_cast<int>(vway);
     }
 
     std::size_t idx = lineIndex(set, static_cast<unsigned>(target));
@@ -217,17 +286,19 @@ Cache::fill(Addr line_addr, Cycle ready_at, PfClass pf_class, PC pf_pc,
     flags[idx] = f;
     cold[idx].prefetchPc = pf_pc;
     cold[idx].readyAt = ready_at;
-    repl->insert(set, static_cast<unsigned>(target));
+    touch(set, static_cast<unsigned>(target));
     return ev;
 }
 
-void
+bool
 Cache::markDirty(Addr line_addr)
 {
     unsigned set = setIndex(line_addr);
     int way = findWay(set, line_addr);
-    if (way >= 0)
-        flags[lineIndex(set, static_cast<unsigned>(way))] |= kFlagDirty;
+    if (way < 0)
+        return false;
+    flags[lineIndex(set, static_cast<unsigned>(way))] |= kFlagDirty;
+    return true;
 }
 
 Eviction
@@ -254,6 +325,7 @@ void
 Cache::setReservedWays(unsigned ways)
 {
     prophet_assert(ways < waysTotal);
+    prophet_assert(!plru);
     if (ways > reserved) {
         // Metadata partition grows: drop demand lines in the newly
         // reserved ways.

@@ -2,19 +2,20 @@
  * @file
  * Set-associative cache with prefetch-bit accounting, fill-time
  * tracking (so late prefetches earn only partial latency credit), and
- * way reservation for the LLC-resident metadata table.
+ * way reservation for the LLC-resident metadata table. Replacement is
+ * true LRU or tree pseudo-LRU (Table 1), kept as one word per set.
  */
 
 #ifndef PROPHET_MEM_CACHE_HH
 #define PROPHET_MEM_CACHE_HH
 
+#include <array>
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
 #include "mem/cache_config.hh"
-#include "mem/replacement.hh"
 
 namespace prophet::mem
 {
@@ -78,6 +79,11 @@ struct CacheStats
 class Cache
 {
   public:
+    /**
+     * Build an empty cache. config.replacement is "lru" or "plru"
+     * (tree pseudo-LRU, power-of-two associativity), at most 16 ways;
+     * anything else is a fatal configuration error.
+     */
     explicit Cache(const CacheConfig &config);
 
     /**
@@ -116,8 +122,12 @@ class Cache
     Eviction fill(Addr line_addr, Cycle ready_at, PfClass pf_class,
                   PC pf_pc, bool dirty);
 
-    /** Mark an existing line dirty (store hit / writeback merge). */
-    void markDirty(Addr line_addr);
+    /**
+     * Mark a line dirty if present (store hit / writeback merge).
+     *
+     * @return Whether the line was present.
+     */
+    bool markDirty(Addr line_addr);
 
     /** Invalidate a line if present; returns its eviction record. */
     Eviction invalidate(Addr line_addr);
@@ -126,6 +136,7 @@ class Cache
      * Reserve the first @p ways ways of every set (metadata-table
      * partition). Growing the reservation invalidates the affected
      * demand lines; their evictions are dropped (metadata handover).
+     * LRU caches only: tree-PLRU's victim walk covers the whole set.
      */
     void setReservedWays(unsigned ways);
 
@@ -208,15 +219,27 @@ class Cache
     std::vector<ColdLine> cold;
 
     /**
-     * The way indices 0..assoc-1, built once at construction. The
-     * demand partition [reserved, assoc) is a contiguous suffix, so
-     * eviction candidates are always the span
-     * (wayIds.data() + reserved, assoc - reserved) — the steady-state
-     * miss path never builds a candidate vector.
+     * Replacement state, one word per set, read and written inline by
+     * the lookups and fill:
+     *
+     *  - LRU: the set's recency order, a 4-bit way id per nibble, the
+     *    most recent in nibble 0 and the least recent in nibble
+     *    assoc - 1. A reset set lists way 0 as the least recent.
+     *  - Tree-PLRU: the assoc - 1 node bits in heap order (node n's
+     *    children are 2n + 1 and 2n + 2); a set bit steers the victim
+     *    walk right.
      */
-    std::vector<unsigned> wayIds;
+    std::vector<std::uint64_t> replWords;
+    bool plru = false;
 
-    std::unique_ptr<ReplacementPolicy> repl;
+    /**
+     * Tree-PLRU touch tables: for each way, the nodes on its root
+     * path and the values a touch writes there (each pointing away
+     * from the way). 16 ways have 15 nodes, so 16 bits suffice.
+     */
+    std::array<std::uint16_t, 16> pathMask{};
+    std::array<std::uint16_t, 16> pathBits{};
+
     CacheStats statsData;
 
     unsigned
@@ -239,6 +262,15 @@ class Cache
     template <bool kFindHole>
     int scanSet(unsigned set, Addr line_addr, int *hole) const;
     int findWay(unsigned set, Addr line_addr) const;
+
+    /** Make @p way the most recently used way of @p set. */
+    void touch(unsigned set, unsigned way);
+
+    /**
+     * The replacement victim of @p set among the demand ways; only
+     * called when every demand way holds a line.
+     */
+    unsigned victim(unsigned set) const;
 
     /** Write a tag through to both the full and the scan array. */
     void

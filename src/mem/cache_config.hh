@@ -33,7 +33,7 @@ struct CacheConfig
     /** Number of MSHRs (outstanding misses tracked for stats). */
     unsigned mshrs = 16;
 
-    /** Replacement policy name for makePolicy(). */
+    /** Replacement policy: "plru" (tree pseudo-LRU) or "lru". */
     std::string replacement = "plru";
 
     /** Number of sets implied by the geometry. */

@@ -17,14 +17,10 @@ Hierarchy::writeback(const Eviction &ev, int from_level, Cycle cycle)
 {
     if (!ev.valid || !ev.dirty)
         return;
-    if (from_level <= 0 && l2Cache.contains(ev.lineAddr)) {
-        l2Cache.markDirty(ev.lineAddr);
+    if (from_level <= 0 && l2Cache.markDirty(ev.lineAddr))
         return;
-    }
-    if (from_level <= 1 && llcCache.contains(ev.lineAddr)) {
-        llcCache.markDirty(ev.lineAddr);
+    if (from_level <= 1 && llcCache.markDirty(ev.lineAddr))
         return;
-    }
     dramModel.write(cycle);
 }
 

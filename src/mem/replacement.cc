@@ -2,7 +2,6 @@
 
 #include <limits>
 
-#include "common/intmath.hh"
 #include "common/log.hh"
 
 namespace prophet::mem
@@ -46,81 +45,6 @@ LruPolicy::victim(unsigned set, const unsigned *cands, unsigned n)
         }
     }
     return best;
-}
-
-// ----------------------------------------------------------- TreePLRU
-
-void
-TreePlruPolicy::reset(unsigned num_sets, unsigned assoc)
-{
-    prophet_assert(isPowerOf2(assoc));
-    numWays = assoc;
-    bits.assign(static_cast<std::size_t>(num_sets) * (assoc - 1), 0);
-    fallback.reset(num_sets, assoc);
-}
-
-void
-TreePlruPolicy::touchPath(unsigned set, unsigned way)
-{
-    // Walk from the root; at each node flip the bit to point away
-    // from the touched way.
-    std::size_t base = static_cast<std::size_t>(set) * (numWays - 1);
-    unsigned node = 0;
-    unsigned lo = 0, hi = numWays;
-    while (hi - lo > 1) {
-        unsigned mid = (lo + hi) / 2;
-        bool right = way >= mid;
-        bits[base + node] = right ? 0 : 1; // point to the other half
-        node = 2 * node + (right ? 2 : 1);
-        if (right)
-            lo = mid;
-        else
-            hi = mid;
-    }
-}
-
-unsigned
-TreePlruPolicy::followTree(unsigned set) const
-{
-    std::size_t base = static_cast<std::size_t>(set) * (numWays - 1);
-    unsigned node = 0;
-    unsigned lo = 0, hi = numWays;
-    while (hi - lo > 1) {
-        unsigned mid = (lo + hi) / 2;
-        bool right = bits[base + node] != 0;
-        node = 2 * node + (right ? 2 : 1);
-        if (right)
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return lo;
-}
-
-void
-TreePlruPolicy::touch(unsigned set, unsigned way)
-{
-    touchPath(set, way);
-    fallback.touch(set, way);
-}
-
-void
-TreePlruPolicy::insert(unsigned set, unsigned way)
-{
-    touch(set, way);
-}
-
-unsigned
-TreePlruPolicy::victim(unsigned set, const unsigned *cands, unsigned n)
-{
-    prophet_assert(n > 0);
-    unsigned preferred = followTree(set);
-    for (unsigned i = 0; i < n; ++i)
-        if (cands[i] == preferred)
-            return preferred;
-    // The tree's preference is outside the candidate restriction;
-    // fall back to timestamp LRU among candidates.
-    return fallback.victim(set, cands, n);
 }
 
 // -------------------------------------------------------------- SRRIP
@@ -247,8 +171,6 @@ makePolicy(const std::string &name)
 {
     if (name == "lru")
         return std::make_unique<LruPolicy>();
-    if (name == "plru")
-        return std::make_unique<TreePlruPolicy>();
     if (name == "srrip")
         return std::make_unique<SrripPolicy>();
     if (name == "brrip")

@@ -1,9 +1,9 @@
 /**
  * @file
- * Replacement-policy interface and the standard policies used across
- * the hierarchy and the metadata table: LRU, tree-PLRU, SRRIP/BRRIP,
- * and random. Hawkeye (Triage's original metadata policy) lives in
- * hawkeye.hh.
+ * Replacement-policy interface and the standard policies of the
+ * temporal prefetchers' metadata table: LRU, SRRIP/BRRIP, and random.
+ * Hawkeye (Triage's original metadata policy) lives in hawkeye.hh.
+ * The caches keep their own LRU and tree-PLRU state (mem/cache.hh).
  *
  * The victim() method receives an explicit candidate span so that
  * higher-level policies (Prophet's priority-class replacement,
@@ -96,35 +96,6 @@ class LruPolicy : public ReplacementPolicy
 };
 
 /**
- * Tree pseudo-LRU, the L1/L2 policy in Table 1. Associativity must be
- * a power of two. Victim selection honours the candidate restriction
- * by falling back to the least-recently-touched candidate when the
- * tree's preferred way is not a candidate.
- */
-class TreePlruPolicy : public ReplacementPolicy
-{
-  public:
-    using ReplacementPolicy::victim;
-
-    void reset(unsigned num_sets, unsigned assoc) override;
-    void touch(unsigned set, unsigned way) override;
-    void insert(unsigned set, unsigned way) override;
-    unsigned victim(unsigned set, const unsigned *cands,
-                    unsigned n) override;
-    std::string name() const override { return "TreePLRU"; }
-
-  private:
-    unsigned numWays = 0;
-    /** One bit vector of (assoc - 1) tree nodes per set. */
-    std::vector<std::uint8_t> bits;
-    /** Timestamp fallback for candidate-restricted victims. */
-    LruPolicy fallback;
-
-    void touchPath(unsigned set, unsigned way);
-    unsigned followTree(unsigned set) const;
-};
-
-/**
  * Static re-reference interval prediction (SRRIP), the metadata-table
  * policy Triangel adopts (Section 2.1.2). 2-bit RRPVs, hit-priority
  * promotion, insertion at distant (maxRrpv - 1).
@@ -197,7 +168,7 @@ class RandomPolicy : public ReplacementPolicy
     Rng rng;
 };
 
-/** Factory by name: "lru", "plru", "srrip", "brrip", "random". */
+/** Factory by name: "lru", "srrip", "brrip", "random". */
 std::unique_ptr<ReplacementPolicy> makePolicy(const std::string &name);
 
 } // namespace prophet::mem

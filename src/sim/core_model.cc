@@ -63,22 +63,6 @@ CoreModel::completeAccess(Cycle ready_at)
     ++outTail;
 }
 
-Cycle
-CoreModel::finalCycles() const
-{
-    double done = std::max(issueClock, retireClock);
-    return static_cast<Cycle>(std::llround(std::ceil(done)));
-}
-
-double
-CoreModel::ipc() const
-{
-    Cycle c = finalCycles();
-    if (c == 0)
-        return 0.0;
-    return static_cast<double>(instCount) / static_cast<double>(c);
-}
-
 void
 CoreModel::mark()
 {

@@ -63,12 +63,6 @@ class CoreModel
     /** Retired instructions so far. */
     std::uint64_t retiredInstructions() const { return instCount; }
 
-    /** Total cycles including the drain of in-flight loads. */
-    Cycle finalCycles() const;
-
-    /** IPC over the whole run so far. */
-    double ipc() const;
-
     /**
      * Open a measurement window: cyclesSinceMark() and
      * instructionsSinceMark() count only work after this point.
@@ -77,9 +71,9 @@ class CoreModel
 
     /**
      * Exact (fractional) cycles elapsed since the last mark(). System
-     * accumulates these per measurement window; keeping the value
-     * fractional until the final rounding is what lets a full run's
-     * window reproduce finalCycles() bit for bit.
+     * accumulates these per measurement window and rounds only the
+     * run's total, so a full run's single window reports the same
+     * cycle count as rounding exactCycles() up once.
      */
     double cyclesSinceMark() const
     {
@@ -95,7 +89,10 @@ class CoreModel
         return instCount - markInsts;
     }
 
-    /** Exact (fractional) total cycles, before finalCycles() rounds. */
+    /**
+     * Exact (fractional) total cycles including the drain of
+     * in-flight loads; System rounds them up once when it reports.
+     */
     double exactCycles() const
     {
         return issueClock > retireClock ? issueClock : retireClock;

@@ -409,7 +409,8 @@ System::finishRun(std::size_t records, bool sampled)
 
     // Cycles: actual warm+window cycles plus the extrapolated cycles
     // of the fast-forwarded records. Written as exact + c*(scale-1)
-    // so scale == 1 reproduces finalCycles() bit for bit.
+    // so scale == 1 is the core's exact cycles rounded up, bit for
+    // bit.
     s.cycles = static_cast<Cycle>(std::llround(std::ceil(
         coreModel.exactCycles()
         + windowAccum.cycles * (scale - 1.0))));

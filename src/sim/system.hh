@@ -227,7 +227,8 @@ class System
      * bracketed by windowBegin() (reset the hierarchy/core stats
      * windows) and windowEnd() (fold the window's deltas in here).
      * Cycles stay fractional until finishRun() rounds once, so a
-     * full run's single window reports finalCycles() bit for bit.
+     * full run's single window reports the core's exact cycles
+     * rounded up, bit for bit.
      */
     struct WindowAccum
     {

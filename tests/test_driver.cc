@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -603,6 +604,36 @@ TEST_F(DriverTest, MetricsOutWritesReportAndResetsBetweenRuns)
     EXPECT_EQ(
         second.find("counters")->find("sim.records")->asNumber(),
         first_records);
+}
+
+TEST(DriverDeathTest, UnsampledRunListsNoPhaseThatNeverRan)
+{
+    // Registration is process-wide and permanent, so check it in a
+    // fresh process (the threadsafe style re-executes this binary).
+    // An unsampled run without Prophet has no functional-warming
+    // and no profiling phase, and --metrics-out lists every
+    // registered phase: "warm" and "profile" must stay absent.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            const fs::path d =
+                fs::temp_directory_path()
+                / ("prophet_driver_phases_" + std::to_string(::getpid()));
+            fs::create_directories(d);
+            DriverOptions opts;
+            opts.metricsOut = (d / "metrics.json").string();
+            ExperimentDriver drv(smokeSpec((d / "results.json").string()),
+                                 opts);
+            const bool ok = drv.run().ok();
+            const json::Value m = readJson(opts.metricsOut);
+            const json::Value *phases = m.find("phases");
+            const bool listed_only_ran = phases
+                && phases->find("simulate") && phases->find("warmup")
+                && !phases->find("warm") && !phases->find("profile");
+            fs::remove_all(d);
+            std::exit(ok && listed_only_ran ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "");
 }
 
 } // anonymous namespace

@@ -293,8 +293,8 @@ TEST(Spec, RejectsPlruMetadataReplacement)
 {
     // Tree-PLRU needs a power-of-two associativity, and the Markov
     // table's (maxWays x 12) never is one: the spec must fail
-    // validation (exit 3), not abort the process on the policy's
-    // assertion.
+    // validation (exit 3), not end the process in makePolicy(),
+    // which knows no "plru".
     auto triage = [](const std::string &name, const std::string &repl) {
         return "{\"workloads\": [\"mcf\"], \"pipelines\":"
                " [{\"name\": \"" + name + "\", \"meta_replacement\":"

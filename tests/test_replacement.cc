@@ -1,7 +1,8 @@
 /**
  * @file
- * Unit and property tests for the replacement policies backing the
- * caches and the metadata table.
+ * Unit and property tests for the metadata table's replacement
+ * policies. The caches' own LRU and tree-PLRU state is tested in
+ * test_cache.cc.
  */
 
 #include <gtest/gtest.h>
@@ -54,27 +55,6 @@ TEST(Lru, PerSetIndependence)
     lru.insert(1, 0);
     EXPECT_EQ(lru.victim(0, allWays(2)), 0u);
     EXPECT_EQ(lru.victim(1, allWays(2)), 1u);
-}
-
-TEST(TreePlru, ProtectsRecentlyTouched)
-{
-    TreePlruPolicy plru;
-    plru.reset(1, 4);
-    for (unsigned w = 0; w < 4; ++w)
-        plru.insert(0, w);
-    plru.touch(0, 2);
-    EXPECT_NE(plru.victim(0, allWays(4)), 2u);
-}
-
-TEST(TreePlru, FallsBackUnderCandidateRestriction)
-{
-    TreePlruPolicy plru;
-    plru.reset(1, 8);
-    for (unsigned w = 0; w < 8; ++w)
-        plru.insert(0, w);
-    plru.touch(0, 5);
-    unsigned v = plru.victim(0, {4, 5});
-    EXPECT_EQ(v, 4u); // 5 was just touched
 }
 
 TEST(Srrip, InsertsAtDistantRrpv)
@@ -140,14 +120,13 @@ TEST(Random, AlwaysReturnsACandidate)
 
 /**
  * The span form of victim() — (const unsigned *, n) — is the hot-path
- * API the cache and metadata table call with pre-built scratch
- * buffers. Exercise it directly across all five policies, including
+ * API the metadata table calls with pre-built scratch buffers.
+ * Exercise it directly across all four policies, including
  * restricted candidate subsets.
  */
 TEST(SpanVictim, AllPoliciesHonourRestrictedSpans)
 {
-    for (const char *name : {"lru", "plru", "srrip", "brrip",
-                             "random"}) {
+    for (const char *name : {"lru", "srrip", "brrip", "random"}) {
         auto policy = makePolicy(name);
         policy->reset(4, 8);
         for (unsigned set = 0; set < 4; ++set)
@@ -189,19 +168,6 @@ TEST(SpanVictim, LruSpanMatchesVectorOverload)
     EXPECT_EQ(lru.victim(0, span, 2), 3u); // 2 was just touched
 }
 
-TEST(SpanVictim, TreePlruFallbackWorksThroughSpan)
-{
-    TreePlruPolicy plru;
-    plru.reset(1, 8);
-    for (unsigned w = 0; w < 8; ++w)
-        plru.insert(0, w);
-    plru.touch(0, 5);
-    // The tree's preferred way (somewhere in 0..3 after touching 5)
-    // is outside the span, forcing the timestamp fallback.
-    const unsigned span[] = {4, 5};
-    EXPECT_EQ(plru.victim(0, span, 2), 4u); // 5 was just touched
-}
-
 TEST(SpanVictim, SrripSingleCandidateSpan)
 {
     SrripPolicy srrip;
@@ -217,7 +183,6 @@ TEST(SpanVictim, SrripSingleCandidateSpan)
 TEST(Factory, KnownNames)
 {
     EXPECT_EQ(makePolicy("lru")->name(), "LRU");
-    EXPECT_EQ(makePolicy("plru")->name(), "TreePLRU");
     EXPECT_EQ(makePolicy("srrip")->name(), "SRRIP");
     EXPECT_EQ(makePolicy("brrip")->name(), "BRRIP");
     EXPECT_EQ(makePolicy("random")->name(), "Random");
@@ -262,19 +227,12 @@ TEST_P(PolicyProperty, HitPromotionReducesEviction)
     for (int i = 0; i < 8; ++i)
         for (unsigned w = 0; w < 3; ++w)
             policy->touch(0, w);
-    unsigned v = policy->victim(0, allWays(4));
-    if (std::string(GetParam()) == "plru") {
-        // Tree PLRU is only pseudo-LRU: it may not find the exact
-        // coldest way, but it must never evict the hottest one.
-        EXPECT_NE(v, 2u);
-    } else {
-        EXPECT_EQ(v, 3u);
-    }
+    EXPECT_EQ(policy->victim(0, allWays(4)), 3u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, PolicyProperty,
-                         ::testing::Values("lru", "plru", "srrip",
-                                           "brrip", "random"));
+                         ::testing::Values("lru", "srrip", "brrip",
+                                           "random"));
 
 } // anonymous namespace
 } // namespace prophet::mem

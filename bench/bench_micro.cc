@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks for the hot simulator structures:
  * metadata-table insert/lookup, cache lookup hit and miss-plus-fill,
- * Bloom filter, training unit, and the full per-record system step. These guard the
- * simulator's own performance (figure benches run hundreds of
- * millions of these operations).
+ * Bloom filter, training unit, and the full per-record system step,
+ * plus the whole-trace passes: trace-cache store and load, and RPG2
+ * kernel identification. These guard the simulator's own performance
+ * (figure benches run hundreds of millions of these operations).
  */
 
 #include <benchmark/benchmark.h>
@@ -21,9 +22,11 @@
 #include "prefetch/bloom.hh"
 #include "prefetch/markov_table.hh"
 #include "prefetch/training_unit.hh"
+#include "rpg2/kernel_id.hh"
 #include "sim/system.hh"
 #include "trace/trace_cache.hh"
 #include "workloads/pattern_lib.hh"
+#include "workloads/registry.hh"
 
 namespace
 {
@@ -288,6 +291,60 @@ BM_TraceCacheLoad(benchmark::State &state)
 }
 BENCHMARK(BM_TraceCacheLoad)
     ->Unit(benchmark::kMillisecond)->Iterations(5);
+
+/** Records of the BM_IdentifyKernels trace, rpg2_graph's length. */
+constexpr std::size_t kKernelIdRecords = 500000;
+
+/** A pagerank trace, its resolver, and its baseline per-PC misses. */
+struct KernelIdInput
+{
+    trace::GeneratorPtr generator;
+    trace::Trace trace;
+    FlatMap<PC, std::uint64_t> pcMisses;
+};
+
+const KernelIdInput &
+kernelIdInput()
+{
+    static const KernelIdInput in = [] {
+        KernelIdInput k;
+        k.generator = workloads::makeWorkload("pagerank_100000_100",
+                                              kKernelIdRecords);
+        k.trace = k.generator->generate();
+        sim::SystemConfig cfg = sim::SystemConfig::table1();
+        cfg.l2Pf = sim::L2PfKind::None;
+        sim::System sys(cfg, k.generator->resolver());
+        k.pcMisses = sys.run(k.trace).pcMisses;
+        return k;
+    }();
+    return in;
+}
+
+/**
+ * RPG2 kernel identification over a whole trace (records/sec under
+ * items_per_second): the profile-analysis step RPG2 runs once per
+ * job before its tuning runs. The trace and the baseline's per-PC
+ * misses are built once, outside the timing.
+ */
+void
+BM_IdentifyKernels(benchmark::State &state)
+{
+    const KernelIdInput &in = kernelIdInput();
+    std::size_t found = 0;
+    for (auto _ : state) {
+        auto kernels = rpg2::identifyKernels(in.trace, in.pcMisses,
+                                             in.generator->resolver());
+        found = kernels.size();
+        benchmark::DoNotOptimize(kernels.data());
+        state.SetItemsProcessed(
+            state.items_processed()
+            + static_cast<std::int64_t>(in.trace.size()));
+    }
+    if (found == 0)
+        state.SkipWithError("no kernel identified");
+}
+BENCHMARK(BM_IdentifyKernels)
+    ->Unit(benchmark::kMillisecond)->Iterations(10);
 
 } // anonymous namespace
 

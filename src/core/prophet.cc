@@ -13,7 +13,13 @@ ProphetPrefetcher::ProphetPrefetcher(const ProphetConfig &config,
     : cfg(config), bin(std::move(binary)),
       table(config.numSets, config.maxWays,
             std::make_unique<mem::SrripPolicy>()),
-      mvb(config.mvbEntries, config.mvbCandidates)
+      // A profiling pass or an ablation without the MVB never
+      // touches it: one set keeps its statistics readable without
+      // writing a full-size buffer.
+      mvb(!config.profilingMode && config.features.mvb
+              ? config.mvbEntries
+              : MultiPathVictimBuffer::kWays,
+          config.mvbCandidates)
 {
     prophet_assert(cfg.degree >= 1);
 

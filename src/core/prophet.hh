@@ -69,7 +69,11 @@ struct ProphetConfig
     /** Active Prophet components. */
     ProphetFeatures features{};
 
-    /** MVB geometry (Section 5.10 / Figure 16(c)). */
+    /**
+     * MVB geometry (Section 5.10 / Figure 16(c)). A prefetcher that
+     * never uses its MVB (profiling mode, or features.mvb off) builds
+     * it with one set instead.
+     */
     unsigned mvbEntries = 65536;
     unsigned mvbCandidates = 1;
 

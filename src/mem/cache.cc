@@ -170,7 +170,7 @@ Cache::victim(unsigned set) const
 }
 
 LookupResult
-Cache::lookupDemand(Addr line_addr, Cycle cycle)
+Cache::lookupDemand(Addr line_addr, Cycle cycle, bool is_write)
 {
     unsigned set = setIndex(line_addr);
     int way = findWay(set, line_addr);
@@ -199,6 +199,8 @@ Cache::lookupDemand(Addr line_addr, Cycle cycle)
         if (res.wasLate)
             ++statsData.latePrefetchHits;
     }
+    if (is_write)
+        flags[idx] |= kFlagDirty;
     ++statsData.demandHits;
     touch(set, static_cast<unsigned>(way));
     return res;

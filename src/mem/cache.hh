@@ -92,8 +92,11 @@ class Cache
      *
      * @param line_addr Line address accessed.
      * @param cycle Access cycle.
+     * @param is_write A store: a hit also marks the line dirty, in
+     *        the same set scan.
      */
-    LookupResult lookupDemand(Addr line_addr, Cycle cycle);
+    LookupResult lookupDemand(Addr line_addr, Cycle cycle,
+                              bool is_write = false);
 
     /**
      * Presence probe that does not update replacement state or clear
@@ -123,7 +126,8 @@ class Cache
                   PC pf_pc, bool dirty);
 
     /**
-     * Mark a line dirty if present (store hit / writeback merge).
+     * Mark a line dirty if present (a write-back merging into this
+     * level; a store hit sets the bit in lookupDemand).
      *
      * @return Whether the line was present.
      */

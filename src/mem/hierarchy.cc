@@ -41,14 +41,12 @@ Hierarchy::access(PC pc, Addr addr, bool is_write, Cycle cycle)
         }
     };
 
-    // L1 lookup.
-    LookupResult r1 = l1Cache.lookupDemand(line, cycle);
+    // L1 lookup; a store hit marks the line dirty in the same scan.
+    LookupResult r1 = l1Cache.lookupDemand(line, cycle, is_write);
     if (r1.hit) {
         out.level = HitLevel::L1;
         out.readyAt = r1.readyAt;
         note_prefetch_hit(r1);
-        if (is_write)
-            l1Cache.markDirty(line);
         return out;
     }
 

@@ -1,8 +1,6 @@
 #include "rpg2/kernel_id.hh"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 
 namespace prophet::rpg2
 {
@@ -28,23 +26,27 @@ identifyKernels(const trace::Trace &t,
     // misses the kernel's prefetches would cover).
     struct PcStat
     {
+        Addr first = kInvalidAddr;
         Addr last = kInvalidAddr;
         std::uint64_t accesses = 0;
-        std::map<std::int64_t, std::uint64_t> deltas;
+        FlatMap<std::int64_t, std::uint64_t> deltas;
         PC consumer = kInvalidPC;
     };
-    // The scan reads the trace's SoA arrays directly: this pass only
-    // needs PCs, byte addresses, and the depends flag, so it streams
-    // those arrays instead of dragging whole records through cache.
+    // One pass over the trace's SoA arrays: this pass only needs PCs,
+    // byte addresses, and the depends flag, so it streams those
+    // arrays instead of dragging whole records through cache.
     const std::size_t n = t.size();
     const PC *pcs = t.pcData();
     const Addr *addrs = t.addrData();
     const std::uint32_t *metas = t.metaData();
 
-    std::unordered_map<PC, PcStat> stats;
+    FlatMap<PC, PcStat> stats;
     for (std::size_t i = 0; i < n; ++i) {
         const PC pc = pcs[i];
-        PcStat &s = stats[pc];
+        auto [it, inserted] = stats.emplace(pc);
+        PcStat &s = it->second;
+        if (inserted)
+            s.first = addrs[i];
         ++s.accesses;
         if (s.last != kInvalidAddr) {
             auto d = static_cast<std::int64_t>(addrs[i])
@@ -60,8 +62,7 @@ identifyKernels(const trace::Trace &t,
             for (std::size_t j = i + 1; j < n && j <= i + 4; ++j) {
                 if (pcs[j] == pc)
                     break;
-                if (trace::Trace::dependsOf(metas[j])
-                    && pcs[j] != pc) {
+                if (trace::Trace::dependsOf(metas[j])) {
                     s.consumer = pcs[j];
                     break;
                 }
@@ -86,37 +87,28 @@ identifyKernels(const trace::Trace &t,
         }
         double share = static_cast<double>(misses)
             / static_cast<double>(total_misses);
+        if (share < cfg.minMissShare)
+            continue;
+
+        // The dominant stride: the most frequent delta, the smallest
+        // one on a tie.
         std::int64_t best_delta = 0;
         std::uint64_t best_count = 0, delta_total = 0;
         for (const auto &[d, c] : s.deltas) {
             delta_total += c;
-            if (c > best_count) {
+            if (c > best_count || (c == best_count && d < best_delta)) {
                 best_count = c;
                 best_delta = d;
             }
         }
         double coverage = static_cast<double>(best_count)
             / static_cast<double>(delta_total);
-
         if (coverage < cfg.minStrideCoverage)
             continue;
 
-        // The runtime must be able to compute the indirect target.
-        auto probe = resolver->resolve(pc, addrs[0], 0);
-        bool resolvable = false;
-        // Probe with an address actually from this PC.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (pcs[i] == pc) {
-                resolvable =
-                    resolver->resolve(pc, addrs[i], 1).has_value();
-                break;
-            }
-        }
-        (void)probe;
-        if (!resolvable)
-            continue;
-
-        if (share < cfg.minMissShare)
+        // The runtime must be able to compute the indirect target
+        // from an address this PC actually accessed.
+        if (!resolver->resolve(pc, s.first, 1).has_value())
             continue;
 
         kernels.push_back(Kernel{pc, best_delta, coverage, share});
@@ -124,7 +116,9 @@ identifyKernels(const trace::Trace &t,
 
     std::sort(kernels.begin(), kernels.end(),
               [](const Kernel &a, const Kernel &b) {
-                  return a.missShare > b.missShare;
+                  if (a.missShare != b.missShare)
+                      return a.missShare > b.missShare;
+                  return a.pc < b.pc;
               });
     return kernels;
 }

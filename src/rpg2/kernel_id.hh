@@ -8,6 +8,15 @@
  * Only such kernels are within RPG2's reach — pointer chasing and
  * computed kernels are not, which is the limitation the paper's
  * Section 2.2 analyzes.
+ *
+ * Identification is one pass over the trace's SoA arrays into flat
+ * per-PC tables (each PC's access count, first address, delta
+ * histogram and dependent consumer), then one walk over those
+ * tables, so it runs at about the speed the trace streams from
+ * memory. The result is a pure function of its inputs:
+ *  - a PC's dominant stride is its most frequent nonzero address
+ *    delta, the smallest such delta when counts tie;
+ *  - kernels come out by descending miss share, then ascending PC.
  */
 
 #ifndef PROPHET_RPG2_KERNEL_ID_HH
@@ -52,7 +61,8 @@ struct KernelIdConfig
 };
 
 /**
- * Identify RPG2-qualified kernels in a trace.
+ * Identify RPG2-qualified kernels in a trace, ordered by descending
+ * miss share, then ascending PC.
  *
  * @param t The profiled trace.
  * @param pc_misses Per-PC L2 miss counts from a profiling run.

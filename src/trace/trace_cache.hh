@@ -13,9 +13,10 @@
  *  - an flock(2)-based lock file (".lock") serializes writers across
  *    processes sharing the directory (advisory, auto-released on
  *    process death — no stale-lock recovery needed);
- *  - entries are stored in the checksummed v3 format and verified on
- *    load; a damaged entry (bad header, truncation, checksum
- *    mismatch) is *quarantined* — renamed to "<entry>.corrupt" — so
+ *  - entries are stored in the checksummed v4 format (XXH64 per
+ *    array, see trace_io.hh) and verified on load; a damaged entry
+ *    (bad header, truncation, checksum mismatch) or one in another
+ *    format version is *quarantined* — renamed to "<entry>.corrupt" — so
  *    the evidence survives for inspection while the caller
  *    regenerates a good entry under the original name;
  *  - checksum-failure, quarantine, lock-contention, and
@@ -56,7 +57,7 @@ class TraceCache
         std::uint64_t misses = 0;
         std::uint64_t stores = 0;
 
-        /** Entries whose v3 array checksum failed verification. */
+        /** Entries whose array checksum failed verification. */
         std::uint64_t checksumFailures = 0;
 
         /** Damaged entries renamed to "<entry>.corrupt". */
@@ -116,8 +117,10 @@ class TraceCache
      * quarantined (renamed to "<entry>.corrupt") so the next run
      * regenerates it while the bad bytes stay inspectable. A hit is
      * logged to stderr so cache effectiveness is observable without
-     * changing stdout. An entry in any format other than v3 fails
-     * the header check and is quarantined like any damaged entry.
+     * changing stdout. An entry in any format other than v4 fails
+     * the header check and is quarantined like any damaged entry, so
+     * a v3 entry left by an older build is quarantined once and
+     * regenerated.
      */
     bool load(const std::string &workload, std::size_t records,
               Trace &out);

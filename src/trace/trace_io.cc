@@ -63,7 +63,7 @@ injectedFwrite(const void *src, std::size_t size, std::size_t n,
 bool
 writeHeader(std::FILE *f, std::uint64_t count)
 {
-    const std::uint32_t version = kTraceFormatV3;
+    const std::uint32_t version = kTraceFormatVersion;
     return injectedFwrite(kMagic, 1, 4, f) == 4
         && injectedFwrite(&version, sizeof(version), 1, f) == 1
         && injectedFwrite(&count, sizeof(count), 1, f) == 1;
@@ -135,7 +135,7 @@ loadPayload(Trace &out, std::FILE *f, std::uint64_t count,
             return;
         }
         const std::uint64_t sum =
-            fnv1a64(arrays[a].data, arrays[a].elemSize * count);
+            xxh64(arrays[a].data, arrays[a].elemSize * count);
         if (sum != checksums[a]) {
             report.status = LoadStatus::ChecksumMismatch;
             report.offset = offset;
@@ -177,9 +177,9 @@ saveBinary(const Trace &t, const std::string &path)
         return false;
     const std::uint64_t count = t.size();
     const std::uint64_t checksums[3] = {
-        fnv1a64(t.pcData(), sizeof(PC) * count),
-        fnv1a64(t.addrData(), sizeof(Addr) * count),
-        fnv1a64(t.metaData(), sizeof(std::uint32_t) * count),
+        xxh64(t.pcData(), sizeof(PC) * count),
+        xxh64(t.addrData(), sizeof(Addr) * count),
+        xxh64(t.metaData(), sizeof(std::uint32_t) * count),
     };
     if (!writeHeader(f.get(), count)
         || injectedFwrite(checksums, sizeof(std::uint64_t), 3, f.get())
@@ -222,7 +222,7 @@ loadBinary(Trace &out, const std::string &path, LoadReport &report)
         return false;
     }
     std::uint64_t checksums[3];
-    if (version != kTraceFormatV3) {
+    if (version != kTraceFormatVersion) {
         report.status = LoadStatus::BadHeader;
         report.offset = 4; // the version field
     } else if (std::fread(checksums, sizeof(std::uint64_t), 3, f.get())

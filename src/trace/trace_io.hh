@@ -4,22 +4,25 @@
  * generated once, archived, and replayed (the SimPoint-checkpoint
  * workflow's moral equivalent).
  *
- * Binary format v3 mirrors the in-memory SoA layout and adds
- * per-array integrity: after the header, one FNV-1a 64 checksum per
- * array, then the pc, addr, and packed-meta arrays written whole —
- * three bulk fwrite calls instead of one per record. Loads read the
- * arrays back the same way and verify every checksum, so a
- * bit-flipped or torn entry is detected deterministically instead of
- * only when the header happens to be implausible. A file with any
- * other version fails the header check: traces are regenerable, so
- * older formats are simply not read.
+ * Binary format v4 mirrors the in-memory SoA layout and adds
+ * per-array integrity: after the header, one XXH64 checksum per
+ * array (common/checksum.hh; seed 0), then the pc, addr, and
+ * packed-meta arrays written whole — three bulk fwrite calls instead
+ * of one per record. Loads read the arrays back the same way and
+ * verify every checksum, so a bit-flipped or torn entry is detected
+ * deterministically instead of only when the header happens to be
+ * implausible. XXH64 hashes at memory speed, so verification costs
+ * about as much as the read itself. A file with any other version
+ * fails the header check: traces are regenerable, so older formats
+ * (v3 summed the same arrays with byte-serial FNV-1a) are simply not
+ * read.
  *
- * | v3 layout | bytes        | content                              |
+ * | v4 layout | bytes        | content                              |
  * |-----------|--------------|--------------------------------------|
  * | magic     | 4            | "PTRC"                               |
- * | version   | 4            | 3 (little-endian u32)                |
+ * | version   | 4            | 4 (little-endian u32)                |
  * | count     | 8            | record count N (u64)                 |
- * | cksum[3]  | 8 x 3        | FNV-1a 64 of pc[], addr[], meta[]    |
+ * | cksum[3]  | 8 x 3        | XXH64 of pc[], addr[], meta[]        |
  * | pc[]      | 8 x N        | PC per record                        |
  * | addr[]    | 8 x N        | byte address per record              |
  * | meta[]    | 4 x N        | instGap (bits 0-15), depends (16),   |
@@ -42,17 +45,17 @@ namespace prophet::trace
 {
 
 /** The binary-format version saveBinary writes and loadBinary reads. */
-constexpr std::uint32_t kTraceFormatV3 = 3;
+constexpr std::uint32_t kTraceFormatVersion = 4;
 
 /** Why a binary load failed (or that it didn't). */
 enum class LoadStatus
 {
     Ok = 0,
     OpenFail,         ///< file missing or unreadable — not corruption
-    BadHeader,        ///< magic/version/count implausible or not v3
+    BadHeader,        ///< magic/version/count implausible or not v4
     Truncated,        ///< payload shorter than the header promises
     ReadFail,         ///< a read failed mid-payload (I/O error)
-    ChecksumMismatch, ///< v3 array checksum did not verify
+    ChecksumMismatch, ///< an array checksum did not verify
 };
 
 /** Human-readable name of a LoadStatus ("checksum-mismatch", ...). */
@@ -81,7 +84,7 @@ struct LoadReport
 };
 
 /**
- * Write a trace in the v3 (checksummed) binary format. Returns false
+ * Write a trace in the v4 (checksummed) binary format. Returns false
  * on I/O failure.
  */
 bool saveBinary(const Trace &t, const std::string &path);

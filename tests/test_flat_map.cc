@@ -96,9 +96,11 @@ TEST(FlatMap, EraseAndReinsert)
     EXPECT_FALSE(m.contains(50));
     // Neighbours on the probe chain must remain reachable after the
     // index rebuild.
-    for (std::uint64_t k = 0; k < 100; ++k)
-        if (k != 50)
+    for (std::uint64_t k = 0; k < 100; ++k) {
+        if (k != 50) {
             EXPECT_TRUE(m.contains(k)) << k;
+        }
+    }
 
     // Erase preserves the order of the survivors; a reinserted key
     // goes to the back.

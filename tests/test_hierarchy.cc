@@ -133,6 +133,26 @@ TEST(Hierarchy, DirtyEvictionReachesDram)
     EXPECT_GT(h.dram().stats().writes, 0u);
 }
 
+TEST(Hierarchy, StoreHitMarksLineDirty)
+{
+    Hierarchy h(tinyConfig());
+    // A load fills the line clean; the store to it hits in the L1.
+    const Addr target = 0x10000;
+    h.access(0x400, target, false, 0);
+    ASSERT_EQ(h.access(0x404, target, true, 1000).level, HitLevel::L1);
+    // Force the line out of every level: only a dirty L1 copy
+    // writes back, and the write-back reaches the L2, then the LLC,
+    // then DRAM.
+    unsigned llc_sets = h.llc().numSets();
+    for (unsigned i = 1; i <= 40; ++i)
+        h.access(0x408, target + i * llc_sets * kLineSize, false,
+                 2000 + i * 10);
+    EXPECT_EQ(h.l1().stats().writebacks, 1u);
+    EXPECT_EQ(h.l2().stats().writebacks, 1u);
+    EXPECT_EQ(h.llc().stats().writebacks, 1u);
+    EXPECT_EQ(h.dram().stats().writes, 1u);
+}
+
 TEST(Hierarchy, LatePrefetchReported)
 {
     Hierarchy h(tinyConfig());

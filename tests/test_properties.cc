@@ -100,8 +100,9 @@ TEST_P(HierarchyRandomAccesses, TimingAndCountersConsistent)
             if (out.l2Accessed)
                 ++l2_accesses;
             // An L1 hit never touches the L2.
-            if (out.level == mem::HitLevel::L1)
+            if (out.level == mem::HitLevel::L1) {
                 EXPECT_FALSE(out.l2Accessed);
+            }
         } else if (op < 0.9) {
             h.prefetchL2(rng.below(16), lineAddr(addr), cycle);
         } else {

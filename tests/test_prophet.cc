@@ -206,6 +206,32 @@ TEST(Prophet, MvbFeatureOffNoAlternatives)
         EXPECT_NE(r.lineAddr, 3u); // the displaced path stays gone
 }
 
+TEST(Prophet, UnusedMvbTakesOneSet)
+{
+    // The MVB takes its configured size only where it is used; a
+    // profiling pass or an ablation without it builds one set, and
+    // its statistics still read zero.
+    const std::uint64_t one_set_bits =
+        std::uint64_t{MultiPathVictimBuffer::kWays} * 43;
+    EXPECT_EQ(ProphetPrefetcher(tinyConfig(), OptimizedBinary{})
+                  .victimBuffer()
+                  .storageBits(),
+              256u * 43);
+
+    ProphetConfig profiling = tinyConfig();
+    profiling.profilingMode = true;
+    ProphetConfig no_mvb = tinyConfig();
+    no_mvb.features.mvb = false;
+    for (const ProphetConfig &cfg : {profiling, no_mvb}) {
+        ProphetPrefetcher pf(cfg, binaryWith({{1, Hint{true, 3}}}));
+        for (Addr a : {1, 2, 3, 1, 2, 4, 2})
+            observe(pf, 1, a);
+        EXPECT_EQ(pf.victimBuffer().storageBits(), one_set_bits);
+        EXPECT_EQ(pf.victimBuffer().stats().lookups, 0u);
+        EXPECT_EQ(pf.victimBuffer().stats().inserts, 0u);
+    }
+}
+
 TEST(Prophet, ProfilingModeIsSimplified)
 {
     // Section 3.2: degree 1, fixed table, no insertion policy.

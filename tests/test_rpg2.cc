@@ -100,6 +100,83 @@ TEST(KernelId, MinAccessThreshold)
     EXPECT_TRUE(kernels.empty());
 }
 
+/** A resolver that resolves every address of the registered PCs. */
+PcResolver
+resolverFor(std::initializer_list<PC> pcs)
+{
+    PcResolver r;
+    for (PC pc : pcs)
+        r.registerKernel(pc, [](Addr a, std::int64_t d) {
+            return std::optional<Addr>(a + 64 * static_cast<Addr>(d));
+        });
+    return r;
+}
+
+TEST(KernelId, TiedDeltasSelectTheSmallerDelta)
+{
+    // 600 deltas alternate +8, +4, 300 of each; +8 comes first, so
+    // only the tie rule, not first-seen order, picks +4.
+    trace::Trace t;
+    Addr a = 1ull << 32;
+    for (int i = 0; i < 601; ++i) {
+        t.append(0x1000, a);
+        a += i % 2 == 0 ? 8 : 4;
+    }
+    PcResolver resolver = resolverFor({0x1000});
+    FlatMap<PC, std::uint64_t> misses;
+    misses[0x1000] = 100;
+    KernelIdConfig cfg;
+    cfg.minStrideCoverage = 0.5;
+    auto kernels = identifyKernels(t, misses, &resolver, cfg);
+    ASSERT_EQ(kernels.size(), 1u);
+    EXPECT_EQ(kernels[0].stride, 4);
+    EXPECT_DOUBLE_EQ(kernels[0].strideCoverage, 0.5);
+}
+
+TEST(KernelId, KernelsTiedOnMissShareComeOutInPcOrder)
+{
+    // Two stride kernels with equal misses; the higher PC appears
+    // first in the trace.
+    trace::Trace t;
+    for (Addr i = 0; i < 400; ++i) {
+        t.append(0x2000, (2ull << 32) + 8 * i);
+        t.append(0x1000, (1ull << 32) + 4 * i);
+    }
+    PcResolver resolver = resolverFor({0x1000, 0x2000});
+    FlatMap<PC, std::uint64_t> misses;
+    misses[0x2000] = 50;
+    misses[0x1000] = 50;
+    auto kernels = identifyKernels(t, misses, &resolver);
+    ASSERT_EQ(kernels.size(), 2u);
+    EXPECT_EQ(kernels[0].pc, 0x1000u);
+    EXPECT_EQ(kernels[0].stride, 4);
+    EXPECT_EQ(kernels[1].pc, 0x2000u);
+    EXPECT_EQ(kernels[1].stride, 8);
+    EXPECT_DOUBLE_EQ(kernels[0].missShare, 0.5);
+    EXPECT_DOUBLE_EQ(kernels[1].missShare, 0.5);
+}
+
+TEST(KernelId, ResolvabilityIsProbedAtThePcsFirstAddress)
+{
+    // The resolver answers only for the kernel PC's first access, as
+    // RPG2's inserted code would be checked against a real address.
+    trace::Trace t;
+    const Addr first = 1ull << 32;
+    t.append(0x3000, 0x500); // another PC's access comes first
+    for (Addr i = 0; i < 400; ++i)
+        t.append(0x1000, first + 4 * i);
+    PcResolver resolver;
+    resolver.registerKernel(0x1000, [first](Addr a, std::int64_t d) {
+        return a == first ? std::optional<Addr>(a + 4 * d)
+                          : std::nullopt;
+    });
+    FlatMap<PC, std::uint64_t> misses;
+    misses[0x1000] = 100;
+    auto kernels = identifyKernels(t, misses, &resolver);
+    ASSERT_EQ(kernels.size(), 1u);
+    EXPECT_EQ(kernels[0].pc, 0x1000u);
+}
+
 TEST(Plan, PrefetchAddrsComputeKernelAndIndirect)
 {
     KernelFixture f(true);

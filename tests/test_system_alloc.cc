@@ -25,7 +25,11 @@ namespace
 std::atomic<std::uint64_t> g_heapAllocs{0};
 } // anonymous namespace
 
-void *
+// The replacements are not inlined: gcc would otherwise see an
+// inlined malloc() or free() beside the other half of a std::vector's
+// allocation and report a -Wmismatched-new-delete pairing that the
+// replacements make valid.
+[[gnu::noinline]] void *
 operator new(std::size_t n)
 {
     ++g_heapAllocs;
@@ -34,13 +38,13 @@ operator new(std::size_t n)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t n)
 {
     return ::operator new(n);
 }
 
-void *
+[[gnu::noinline]] void *
 operator new(std::size_t n, std::align_val_t align)
 {
     ++g_heapAllocs;
@@ -52,29 +56,41 @@ operator new(std::size_t n, std::align_val_t align)
     throw std::bad_alloc();
 }
 
-void *
+[[gnu::noinline]] void *
 operator new[](std::size_t n, std::align_val_t align)
 {
     return ::operator new(n, align);
 }
 
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
-void operator delete(void *p, std::align_val_t) noexcept
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
 }
-void operator delete(void *p, std::size_t, std::align_val_t) noexcept
+[[gnu::noinline]] void operator delete[](void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t) noexcept
 {
     std::free(p);
 }
-void operator delete[](void *p, std::align_val_t) noexcept
+[[gnu::noinline]] void
+operator delete(void *p, std::align_val_t) noexcept
 {
     std::free(p);
 }
-void operator delete[](void *p, std::size_t, std::align_val_t) noexcept
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete[](void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 {
     std::free(p);
 }
@@ -150,8 +166,9 @@ TEST_P(WarmSystemStep, WarmedInnerStepDoesNotAllocate)
     // Prove the window exercised the paths the satellite names.
     EXPECT_GT(s.l1Accesses, s.l1Misses); // L1 hits happened
     EXPECT_GT(s.l2DemandMisses, 0u);     // L2 misses happened
-    if (cfg.l2Pf != L2PfKind::None)
+    if (cfg.l2Pf != L2PfKind::None) {
         EXPECT_GT(s.l2PrefetchesIssued, 0u); // prefetch-issue path
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

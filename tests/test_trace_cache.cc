@@ -14,6 +14,7 @@
 #include <fstream>
 #include <unistd.h>
 
+#include "common/checksum.hh"
 #include "common/fault_injection.hh"
 #include "sim/runner.hh"
 #include "trace/trace_cache.hh"
@@ -155,7 +156,59 @@ TEST_F(TraceCacheTest, TruncatedFileFallsBackToRegeneration)
     EXPECT_TRUE(out.empty());
 }
 
-TEST_F(TraceCacheTest, StoresWriteTheV3ChecksummedFormat)
+/** The version field and the three array checksums of an entry. */
+struct EntryHeader
+{
+    std::uint32_t version = 0;
+    std::uint64_t checksums[3] = {};
+};
+
+EntryHeader
+readEntryHeader(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    char magic[4] = {};
+    EntryHeader h;
+    std::uint64_t count = 0;
+    in.read(magic, sizeof(magic));
+    in.read(reinterpret_cast<char *>(&h.version), sizeof(h.version));
+    in.read(reinterpret_cast<char *>(&count), sizeof(count));
+    in.read(reinterpret_cast<char *>(h.checksums), sizeof(h.checksums));
+    EXPECT_EQ(std::string(magic, sizeof(magic)), "PTRC");
+    return h;
+}
+
+/**
+ * Write @p t at @p path in trace format v3, the format before v4: the
+ * same layout, with FNV-1a 64 array checksums — what an older build
+ * left in a cache directory.
+ */
+void
+writeV3Entry(const std::string &path, const Trace &t)
+{
+    const std::uint32_t version = 3;
+    const std::uint64_t n = t.size();
+    const std::uint64_t checksums[3] = {
+        fnv1a64(t.pcData(), sizeof(PC) * n),
+        fnv1a64(t.addrData(), sizeof(Addr) * n),
+        fnv1a64(t.metaData(), sizeof(std::uint32_t) * n),
+    };
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f.write("PTRC", 4);
+    f.write(reinterpret_cast<const char *>(&version), sizeof(version));
+    f.write(reinterpret_cast<const char *>(&n), sizeof(n));
+    f.write(reinterpret_cast<const char *>(checksums),
+            sizeof(checksums));
+    f.write(reinterpret_cast<const char *>(t.pcData()),
+            static_cast<std::streamsize>(sizeof(PC) * n));
+    f.write(reinterpret_cast<const char *>(t.addrData()),
+            static_cast<std::streamsize>(sizeof(Addr) * n));
+    f.write(reinterpret_cast<const char *>(t.metaData()),
+            static_cast<std::streamsize>(sizeof(std::uint32_t) * n));
+    ASSERT_TRUE(f.good());
+}
+
+TEST_F(TraceCacheTest, StoresWriteTheV4ChecksummedFormat)
 {
     Trace fresh =
         workloads::makeWorkload("mcf", kRecords)->generate();
@@ -165,20 +218,24 @@ TEST_F(TraceCacheTest, StoresWriteTheV3ChecksummedFormat)
     Trace loaded;
     ASSERT_TRUE(loadBinary(loaded, cache.path("mcf", kRecords)));
     expectTraceEq(fresh, loaded);
-    std::ifstream in(cache.path("mcf", kRecords), std::ios::binary);
-    char magic[4] = {};
-    std::uint32_t version = 0;
-    in.read(magic, sizeof(magic));
-    in.read(reinterpret_cast<char *>(&version), sizeof(version));
-    EXPECT_EQ(std::string(magic, sizeof(magic)), "PTRC");
-    EXPECT_EQ(version, kTraceFormatV3);
+    // Version 4, and each array's checksum is its XXH64.
+    const EntryHeader h = readEntryHeader(cache.path("mcf", kRecords));
+    EXPECT_EQ(h.version, 4u);
+    EXPECT_EQ(h.version, kTraceFormatVersion);
+    EXPECT_EQ(h.checksums[0],
+              xxh64(fresh.pcData(), sizeof(PC) * fresh.size()));
+    EXPECT_EQ(h.checksums[1],
+              xxh64(fresh.addrData(), sizeof(Addr) * fresh.size()));
+    EXPECT_EQ(h.checksums[2],
+              xxh64(fresh.metaData(),
+                    sizeof(std::uint32_t) * fresh.size()));
 }
 
 TEST_F(TraceCacheTest, OtherVersionEntryIsAMissAndIsRegenerated)
 {
-    // Only v3 is read. An entry whose header names another version —
-    // here 2, a retired format — fails the header check like any
-    // damaged entry: it is quarantined, the load misses, and the
+    // Only v4 is read. A v3 entry — intact, with its FNV-1a sums, as
+    // an older build wrote it — fails the header check like any
+    // damaged entry: it is quarantined once, the load misses, and the
     // Runner regenerates the trace with unchanged results.
     sim::Runner plain(sim::SystemConfig::table1(), kRecords);
     const sim::RunStats ref = plain.run("triangel", "mcf");
@@ -188,13 +245,13 @@ TEST_F(TraceCacheTest, OtherVersionEntryIsAMissAndIsRegenerated)
         workloads::makeWorkload("mcf", kRecords)->generate();
     ASSERT_TRUE(cache->store("mcf", kRecords, fresh));
     const std::string path = cache->path("mcf", kRecords);
-    {
-        std::fstream f(path, std::ios::binary | std::ios::in
-                                 | std::ios::out);
-        const std::uint32_t v2 = 2;
-        f.seekp(4); // the version field, after the magic
-        f.write(reinterpret_cast<const char *>(&v2), sizeof(v2));
-    }
+    writeV3Entry(path, fresh);
+    ASSERT_EQ(readEntryHeader(path).version, 3u);
+    Trace v3;
+    LoadReport report;
+    EXPECT_FALSE(loadBinary(v3, path, report));
+    EXPECT_EQ(report.status, LoadStatus::BadHeader);
+    EXPECT_EQ(report.offset, 4u); // the version field
 
     sim::Runner r(sim::SystemConfig::table1(), kRecords);
     r.setTraceCache(cache);
@@ -209,10 +266,20 @@ TEST_F(TraceCacheTest, OtherVersionEntryIsAMissAndIsRegenerated)
     EXPECT_EQ(cache->stats().stores, 2u); // the seed + regeneration
     EXPECT_EQ(cache->quarantined().size(), 1u);
 
-    // The regenerated entry is v3 again and serves hits.
-    Trace again;
-    ASSERT_TRUE(cache->load("mcf", kRecords, again));
-    expectTraceEq(fresh, again);
+    // The regenerated entry is v4 and serves the next run: the v3
+    // entry was quarantined once, not on every run.
+    EXPECT_EQ(readEntryHeader(path).version, 4u);
+    sim::Runner again(sim::SystemConfig::table1(), kRecords);
+    again.setTraceCache(cache);
+    const sim::RunStats s2 = again.run("triangel", "mcf");
+    EXPECT_EQ(s2.ipc, ref.ipc);
+    EXPECT_EQ(s2.cycles, ref.cycles);
+    EXPECT_EQ(cache->stats().hits, 1u);
+    EXPECT_EQ(cache->stats().quarantines, 1u);
+    EXPECT_EQ(cache->stats().stores, 2u);
+    Trace loaded;
+    ASSERT_TRUE(cache->load("mcf", kRecords, loaded));
+    expectTraceEq(fresh, loaded);
 }
 
 TEST_F(TraceCacheTest, BitFlippedEntryIsQuarantinedThenRegenerated)

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <thread>
 
 #include "common/cancellation.hh"
@@ -30,10 +31,11 @@ namespace
  * Classify a captured job failure into the JobResult error fields.
  * Skipped slots (fail-fast cancelled them before they started) and
  * every exception class get a code the CLI can map to an exit code.
+ * @p resumable: an interrupted run's journal lets --resume continue it.
  */
 void
 recordFailure(JobResult &slot, const sim::SweepEngine::JobFailure &f,
-              bool interrupted)
+              bool interrupted, bool resumable)
 {
     slot.ok = false;
     slot.stats = sim::RunStats{};
@@ -44,11 +46,13 @@ recordFailure(JobResult &slot, const sim::SweepEngine::JobFailure &f,
     // get the prefix here.
     if (f.skipped) {
         slot.errorCode = ErrorCode::Cancelled;
-        slot.errorMessage = interrupted
+        slot.errorMessage = !interrupted
+            ? "cancelled: skipped after an earlier job failure "
+              "(fail-fast)"
+            : resumable
             ? "cancelled: run interrupted before this job started; "
               "rerun with --resume to continue"
-            : "cancelled: skipped after an earlier "
-              "job failure (fail-fast)";
+            : "cancelled: run interrupted before this job started";
         return;
     }
     try {
@@ -110,8 +114,8 @@ constexpr unsigned kMaxAttempts = 2;
 constexpr unsigned kRetryBackoffMs = 50;
 
 /**
- * Run one (workload, pipeline) job and derive the spec's metrics from
- * its stats, with bounded retry: a *transient* failure of either step
+ * Run @p slot's job (@p attempt fills the slot) with bounded retry,
+ * each try under its own AttemptScope: a *transient* failure
  * (classes where a second try can genuinely succeed) retries with
  * linear backoff up to kMaxAttempts total tries; permanent failures
  * and cancellation propagate immediately. The fault points
@@ -120,15 +124,12 @@ constexpr unsigned kRetryBackoffMs = 50;
  * single shot exercises the retry-then-succeed path.
  */
 void
-runJobWithRetry(sim::Runner &runner,
-                const sim::PipelineInstance &inst,
-                const std::vector<std::string> &metric_names,
-                JobResult &slot, const CancellationToken &token,
-                double deadline_s)
+runWithRetry(JobResult &slot, const CancellationToken &token,
+             double deadline_s, const std::function<void()> &attempt)
 {
     const std::string job_key = slot.workload + "/" + slot.pipeline;
-    for (unsigned attempt = 1;; ++attempt) {
-        slot.attempts = attempt;
+    for (unsigned n = 1;; ++n) {
+        slot.attempts = n;
         try {
             AttemptScope scope(token, deadline_s);
             try {
@@ -143,16 +144,7 @@ runJobWithRetry(sim::Runner &runner,
                     throw Error(ErrorCode::TraceIo,
                                 "injected transient job failure",
                                 std::move(ctx));
-                sim::RunStats stats = runner.run(inst, slot.workload);
-                std::vector<std::pair<std::string, double>> values;
-                for (const auto &m : metric_names) {
-                    const MetricDef *def = findMetric(m);
-                    prophet_assert(def != nullptr);
-                    values.emplace_back(
-                        m, def->compute(runner, slot.workload, stats));
-                }
-                slot.stats = std::move(stats);
-                slot.metrics = std::move(values);
+                attempt();
                 return;
             } catch (const Error &e) {
                 // A cancellation caused by this attempt's own
@@ -180,21 +172,62 @@ runJobWithRetry(sim::Runner &runner,
                 throw;
             }
         } catch (const Error &e) {
-            if (!e.transient() || attempt >= kMaxAttempts
-                || token.cancelled())
+            if (!e.transient() || n >= kMaxAttempts || token.cancelled())
                 throw;
             metrics::counter("driver.retries").inc();
             prophet_warnf("  %s: transient failure (%s); retrying "
                           "(attempt %u/%u)",
-                          job_key.c_str(), e.what(), attempt + 1,
+                          job_key.c_str(), e.what(), n + 1,
                           kMaxAttempts);
             metrics::ScopedTimer backoff_timer(
                 metrics::histogram("phase.retry_backoff_ns"));
             std::this_thread::sleep_for(
-                std::chrono::milliseconds(kRetryBackoffMs * attempt));
+                std::chrono::milliseconds(kRetryBackoffMs * n));
         }
     }
 }
+
+/** Record a fan-out's failures, and whether it was interrupted. */
+void
+recordFailures(const std::vector<sim::SweepEngine::JobFailure> &failures,
+               const CancellationToken *shutdown, bool resumable,
+               ExperimentReport &report)
+{
+    // Whether the external token fired decides how skipped slots
+    // read: "interrupted" vs fail-fast's "earlier job failure".
+    // Fail-fast also fires the shared shutdown token, so a hard
+    // (non-skipped) failure keeps the fail-fast wording; only a pure
+    // cancellation — nothing failed, the token simply fired — reads
+    // as an interrupt. In-flight jobs drained by the interrupt fail
+    // with Cancelled — that is the interrupt's own signature, not a
+    // hard failure.
+    bool hard_failure = false;
+    for (const auto &f : failures) {
+        if (f.ok() || f.skipped)
+            continue;
+        try {
+            std::rethrow_exception(f.error);
+        } catch (const Error &e) {
+            if (e.code() != ErrorCode::Cancelled)
+                hard_failure = true;
+        } catch (...) {
+            hard_failure = true;
+        }
+    }
+    report.interrupted =
+        shutdown && shutdown->cancelled() && !hard_failure;
+    for (std::size_t i = 0; i < failures.size(); ++i) {
+        if (failures[i].ok())
+            continue;
+        recordFailure(report.results[i], failures[i], report.interrupted,
+                      resumable);
+        ++report.failedJobs;
+    }
+}
+
+/** A report pass failed or never ran: its text is abandoned. */
+struct PassesIncomplete
+{};
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -343,6 +376,9 @@ ExperimentDriver::traceCacheEnabled() const
 bool
 ExperimentDriver::keepGoingEnabled() const
 {
+    // A report's text needs every workload's pass: it fails fast.
+    if (spec.report)
+        return false;
     return opts.keepGoing < 0 ? spec.keepGoing : opts.keepGoing != 0;
 }
 
@@ -365,16 +401,6 @@ ExperimentDriver::run()
         span::setEnabled(true);
     }
 
-    // Static reports short-circuit the job matrix: no results, and
-    // the table sink renders the report from the spec alone.
-    if (spec.report == ExperimentSpec::Report::SystemConfig) {
-        ExperimentReport report;
-        report.meta.specName = spec.name;
-        report.meta.timestamp = iso8601UtcNow();
-        report.outputs = renderOutputs(spec, report);
-        return report;
-    }
-
     // Either a per-run Runner (the historical path) or the caller's
     // resident one (the serve daemon — trace/baseline caches then
     // outlive this run and warm the next request for the same
@@ -392,37 +418,153 @@ ExperimentDriver::run()
     }
 
     sim::SweepEngine engine(effectiveThreads());
-    prophet_infof("%s: %zu workloads x %zu pipelines on %u "
-                  "thread%s%s",
-                  spec.name.c_str(), spec.workloads.size(),
-                  spec.pipelines.size(), engine.threads(),
-                  engine.threads() == 1 ? "" : "s",
-                  cache ? " (trace cache on)" : "");
+    if (spec.report)
+        prophet_infof("%s: %s report on %u thread%s",
+                      spec.name.c_str(), spec.report->name,
+                      engine.threads(), engine.threads() == 1 ? "" : "s");
+    else
+        prophet_infof("%s: %zu workloads x %zu pipelines on %u "
+                      "thread%s%s",
+                      spec.name.c_str(), spec.workloads.size(),
+                      spec.pipelines.size(), engine.threads(),
+                      engine.threads() == 1 ? "" : "s",
+                      cache ? " (trace cache on)" : "");
 
     // The experiment-wide span is heap-held so it can be closed
     // explicitly before the trace file is written.
     auto experiment_span = std::make_unique<span::Span>(
         "experiment " + spec.name, "experiment");
 
+    // The run's token: the first failure under fail-fast fires it,
+    // and so does the caller's shutdown (a signal, a daemon client's
+    // disconnect or drain) — the two share one token. Every job
+    // attempt polls a private token chained to it, so either cause
+    // reaches in-flight Systems and trace passes, and jobs waiting on
+    // another job's trace, baseline or profile, at their next poll.
+    // Polling a token that never fires is bit-identical, so the
+    // no-failure path is unchanged.
+    CancellationToken local_token;
+    CancellationToken &token =
+        opts.shutdown ? *opts.shutdown : local_token;
+    // Per-job deadline (> 0): each attempt's token expires that long
+    // after the attempt starts.
+    const double deadline_s =
+        opts.jobTimeoutS < 0.0 ? spec.deadlineS : opts.jobTimeoutS;
+
+    const std::uint64_t result_hash =
+        spec.resultHash(effectiveRecords());
+    ExperimentReport report;
+    // A report's text is the run's one output, the table sink (the
+    // only sink a report spec has); a job matrix renders its sinks
+    // from the results once the metadata is in.
+    if (spec.report)
+        runReport(runner, engine, token, deadline_s, report);
+    else
+        runJobs(runner, engine, token, deadline_s, result_hash, report);
+
+    auto elapsed = std::chrono::duration<double>(
+        std::chrono::steady_clock::now() - start);
+    report.meta.specName = spec.name;
+    report.meta.specHash = result_hash;
+    report.meta.records = effectiveRecords();
+    report.meta.threads = engine.threads();
+    report.meta.wallSeconds = elapsed.count();
+    report.meta.timestamp = iso8601UtcNow();
+    if (trace::TraceCache *tc =
+            cache ? cache.get() : runner.traceCache()) {
+        auto cs = tc->stats();
+        report.meta.traceCacheHits = cs.hits;
+        report.meta.traceCacheMisses = cs.misses;
+    }
+    // Cumulative phase split for the table sink's wall-clock line:
+    // "simulate" covers every System::run (warmup + functional warm +
+    // measured window + Prophet's profiling pass), "trace-load" the
+    // generate-or-cache-load phase. The finer per-phase split — with
+    // profiling broken out so sampled-vs-full speedups compare pure
+    // timing simulation — is in --metrics-out "phases". The sums come
+    // from a snapshot because looking a histogram up by name
+    // registers it, and that report lists every registered phase: a
+    // phase that never ran must stay absent.
+    std::uint64_t trace_load_ns = 0, simulate_ns = 0;
+    for (const metrics::HistogramSample &h :
+         metrics::Registry::instance().snapshot().histograms) {
+        if (h.name == "phase.trace_load_ns")
+            trace_load_ns = h.snap.sum;
+        else if (h.name == "phase.warmup_ns" || h.name == "phase.warm_ns"
+                 || h.name == "phase.profile_ns"
+                 || h.name == "phase.simulate_ns")
+            simulate_ns += h.snap.sum;
+    }
+    report.meta.traceLoadSeconds = static_cast<double>(trace_load_ns) / 1e9;
+    report.meta.simulateSeconds = static_cast<double>(simulate_ns) / 1e9;
+
+    if (!spec.report)
+        report.outputs = renderOutputs(spec, report);
+
+    // Observability outputs last, so they cover the sink render too.
+    // A requested-but-unwritable file fails the run like any sink.
+    experiment_span.reset();
+    if (tracing) {
+        span::setEnabled(false);
+        if (!span::writeJson(opts.traceOut))
+            report.sinksOk = false;
+    }
+    if (!opts.metricsOut.empty()
+        && !writeMetricsReport(report, opts.metricsOut))
+        report.sinksOk = false;
+    return report;
+}
+
+void
+ExperimentDriver::runReport(sim::Runner &runner, sim::SweepEngine &engine,
+                            CancellationToken &token, double deadline_s,
+                            ExperimentReport &report)
+{
+    for (const std::string &w : spec.workloads) {
+        JobResult &slot = report.results.emplace_back();
+        slot.workload = w;
+        slot.pipeline = spec.report->name;
+    }
+    std::vector<sim::SweepEngine::JobFailure> failures;
+    auto each = [&](const std::function<void(std::size_t)> &pass) {
+        failures = engine.tryForEach(
+            report.results.size(),
+            [&](std::size_t i) {
+                JobResult &slot = report.results[i];
+                auto t0 = std::chrono::steady_clock::now();
+                runWithRetry(slot, token, deadline_s, [&] { pass(i); });
+                slot.seconds = secondsSince(t0);
+                // As after a workload's last job.
+                if (!opts.runner)
+                    runner.releaseTrace(slot.workload);
+            },
+            sim::SweepEngine::FailurePolicy::FailFast, &token);
+        for (const auto &f : failures)
+            if (!f.ok())
+                throw PassesIncomplete{};
+    };
+    std::string text;
+    try {
+        text = spec.report->render(spec, runner, each);
+    } catch (const PassesIncomplete &) {
+    }
+    recordFailures(failures, opts.shutdown, false, report);
+    report.outputs.push_back(
+        {SinkSpec{},
+         report.failedJobs == 0 ? text : renderFailures(report.results)});
+}
+
+void
+ExperimentDriver::runJobs(sim::Runner &runner, sim::SweepEngine &engine,
+                          CancellationToken &token, double deadline_s,
+                          std::uint64_t result_hash,
+                          ExperimentReport &report)
+{
     const bool keep_going = keepGoingEnabled();
     const auto policy = keep_going
         ? sim::SweepEngine::FailurePolicy::KeepGoing
         : sim::SweepEngine::FailurePolicy::FailFast;
 
-    // The run's token: the first failure under fail-fast fires it,
-    // and so does the caller's shutdown (a signal, a daemon client's
-    // disconnect or drain) — the two share one token. Every job
-    // attempt polls a private token chained to it, so either cause
-    // reaches in-flight Systems, and jobs waiting on another job's
-    // baseline or profile, at their next poll. Polling a token that
-    // never fires is bit-identical, so the no-failure path is
-    // unchanged.
-    CancellationToken local_token;
-    CancellationToken &token =
-        opts.shutdown ? *opts.shutdown : local_token;
-
-    const std::uint64_t result_hash =
-        spec.resultHash(effectiveRecords());
     const std::size_t per = spec.pipelines.size();
     const std::size_t total_jobs = spec.workloads.size() * per;
 
@@ -482,11 +624,6 @@ ExperimentDriver::run()
                           journal->path().c_str());
     }
 
-    // Per-job deadline (> 0): each attempt's token expires that long
-    // after the attempt starts.
-    const double deadline_s =
-        opts.jobTimeoutS < 0.0 ? spec.deadlineS : opts.jobTimeoutS;
-
     // One fan-out: every (workload x pipeline) as an independent,
     // fault-isolated job, workload-major. Each job runs its pipeline
     // and derives its own metrics; the Runner computes each trace,
@@ -495,8 +632,11 @@ ExperimentDriver::run()
     // disjoint indices and the merge order is the spec order by
     // construction. One failing job cannot take down its siblings;
     // its slot records why it failed instead.
-    ExperimentReport report;
     report.results.resize(total_jobs);
+    for (std::size_t i = 0; i < total_jobs; ++i) {
+        report.results[i].workload = spec.workloads[i / per];
+        report.results[i].pipeline = spec.pipelines[i % per].resultName();
+    }
     std::atomic<std::size_t> jobs_done{0};
     std::unique_ptr<ProgressMonitor> monitor;
     if (opts.progress)
@@ -517,7 +657,7 @@ ExperimentDriver::run()
         n.store(per);
     auto finish = [&](std::size_t i) {
         jobs_done.fetch_add(1, std::memory_order_relaxed);
-        if (owned_runner && unfinished[i / per].fetch_sub(1) == 1)
+        if (!opts.runner && unfinished[i / per].fetch_sub(1) == 1)
             runner.releaseTrace(spec.workloads[i / per]);
     };
     auto failures = engine.tryForEach(
@@ -526,8 +666,6 @@ ExperimentDriver::run()
             JobResult &slot = report.results[i];
             const sim::PipelineInstance &inst =
                 spec.pipelines[i % per];
-            slot.workload = spec.workloads[i / per];
-            slot.pipeline = inst.resultName();
             // A journaled completion replays instead of simulating:
             // same stats and metric bits, so the sinks are
             // indistinguishable from a from-scratch run.
@@ -548,8 +686,20 @@ ExperimentDriver::run()
                 "job " + slot.workload + "/" + slot.pipeline, "job");
             auto t0 = std::chrono::steady_clock::now();
             try {
-                runJobWithRetry(runner, inst, spec.metrics, slot,
-                                token, deadline_s);
+                runWithRetry(slot, token, deadline_s, [&] {
+                    sim::RunStats stats =
+                        runner.run(inst, slot.workload);
+                    std::vector<std::pair<std::string, double>> values;
+                    for (const auto &m : spec.metrics) {
+                        const MetricDef *def = findMetric(m);
+                        prophet_assert(def != nullptr);
+                        values.emplace_back(
+                            m, def->compute(runner, slot.workload,
+                                            stats));
+                    }
+                    slot.stats = std::move(stats);
+                    slot.metrics = std::move(values);
+                });
             } catch (...) {
                 // Failed jobs still report their duration and count
                 // toward progress; the failure handling below fills
@@ -580,97 +730,10 @@ ExperimentDriver::run()
     if (monitor)
         monitor->stop();
 
-    // Whether the external token fired decides how skipped slots
-    // read: "interrupted, --resume continues" vs fail-fast's
-    // "earlier job failure". Fail-fast also fires the shared
-    // shutdown token, so a hard (non-skipped) failure keeps the
-    // fail-fast wording; only a pure cancellation — nothing failed,
-    // the token simply fired — reads as an interrupt.
-    // In-flight jobs drained by the interrupt fail with Cancelled —
-    // that is the interrupt's own signature, not a hard failure.
-    bool hard_failure = false;
-    for (const auto &f : failures) {
-        if (f.ok() || f.skipped)
-            continue;
-        try {
-            std::rethrow_exception(f.error);
-        } catch (const Error &e) {
-            if (e.code() != ErrorCode::Cancelled)
-                hard_failure = true;
-        } catch (...) {
-            hard_failure = true;
-        }
-    }
-    const bool interrupted = opts.shutdown
-        && opts.shutdown->cancelled() && !hard_failure;
-    report.interrupted = interrupted;
-
-    for (std::size_t i = 0; i < failures.size(); ++i) {
-        if (failures[i].ok())
-            continue;
-        // Fail-fast skips before the slot's identity was filled in.
-        JobResult &slot = report.results[i];
-        if (slot.workload.empty()) {
-            slot.workload = spec.workloads[i / per];
-            slot.pipeline = spec.pipelines[i % per].resultName();
-        }
-        recordFailure(slot, failures[i], interrupted);
-        ++report.failedJobs;
-    }
+    recordFailures(failures, opts.shutdown, true, report);
     for (const auto &r : report.results)
         if (r.resumed)
             ++report.resumedJobs;
-
-    auto elapsed = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start);
-    report.meta.specName = spec.name;
-    report.meta.specHash = result_hash;
-    report.meta.records = effectiveRecords();
-    report.meta.threads = engine.threads();
-    report.meta.wallSeconds = elapsed.count();
-    report.meta.timestamp = iso8601UtcNow();
-    if (trace::TraceCache *tc =
-            cache ? cache.get() : runner.traceCache()) {
-        auto cs = tc->stats();
-        report.meta.traceCacheHits = cs.hits;
-        report.meta.traceCacheMisses = cs.misses;
-    }
-    // Cumulative phase split for the table sink's wall-clock line:
-    // "simulate" covers every System::run (warmup + functional warm +
-    // measured window + Prophet's profiling pass), "trace-load" the
-    // generate-or-cache-load phase. The finer per-phase split — with
-    // profiling broken out so sampled-vs-full speedups compare pure
-    // timing simulation — is in --metrics-out "phases". The sums come
-    // from a snapshot because looking a histogram up by name
-    // registers it, and that report lists every registered phase: a
-    // phase that never ran must stay absent.
-    std::uint64_t trace_load_ns = 0, simulate_ns = 0;
-    for (const metrics::HistogramSample &h :
-         metrics::Registry::instance().snapshot().histograms) {
-        if (h.name == "phase.trace_load_ns")
-            trace_load_ns = h.snap.sum;
-        else if (h.name == "phase.warmup_ns" || h.name == "phase.warm_ns"
-                 || h.name == "phase.profile_ns"
-                 || h.name == "phase.simulate_ns")
-            simulate_ns += h.snap.sum;
-    }
-    report.meta.traceLoadSeconds = static_cast<double>(trace_load_ns) / 1e9;
-    report.meta.simulateSeconds = static_cast<double>(simulate_ns) / 1e9;
-
-    report.outputs = renderOutputs(spec, report);
-
-    // Observability outputs last, so they cover the sink render too.
-    // A requested-but-unwritable file fails the run like any sink.
-    experiment_span.reset();
-    if (tracing) {
-        span::setEnabled(false);
-        if (!span::writeJson(opts.traceOut))
-            report.sinksOk = false;
-    }
-    if (!opts.metricsOut.empty()
-        && !writeMetricsReport(report, opts.metricsOut))
-        report.sinksOk = false;
-    return report;
 }
 
 int

@@ -5,7 +5,9 @@
  * across its workers — each job runs its pipeline and derives the
  * requested metrics, sharing the Runner's once-computed traces,
  * baselines and profiles — and renders the spec's sinks to bytes, in
- * spec order, so output is independent of scheduling. The `prophet`
+ * spec order, so output is independent of scheduling. A report spec
+ * renders its report instead, each workload's pass one such job, and
+ * both end in the same metadata and observability files. The `prophet`
  * CLI, the serve daemon, and the end-to-end and golden tests all take
  * this one path; the caller decides where the rendered bytes go
  * (driver/sink.hh writeSinkOutput, or a daemon response frame).
@@ -20,6 +22,7 @@
 #include "driver/sink.hh"
 #include "driver/spec.hh"
 #include "sim/runner.hh"
+#include "sim/sweep.hh"
 #include "trace/trace_cache.hh"
 
 namespace prophet::driver
@@ -162,7 +165,7 @@ class ExperimentDriver
     /** Whether the on-disk trace cache will be consulted. */
     bool traceCacheEnabled() const;
 
-    /** Failure policy after overrides (true = keep going). */
+    /** Policy after overrides (true = keep going; reports fail fast). */
     bool keepGoingEnabled() const;
 
     /**
@@ -173,6 +176,27 @@ class ExperimentDriver
     ExperimentReport run();
 
   private:
+    /**
+     * The spec's report as @p report's one output. Each workload's
+     * pass is one job, named (workload, report), with the token,
+     * deadline and retry of any job; the text needs every pass, so
+     * the first failure cancels the rest and the output lists the
+     * failures instead.
+     */
+    void runReport(sim::Runner &runner, sim::SweepEngine &engine,
+                   CancellationToken &token, double deadline_s,
+                   ExperimentReport &report);
+
+    /**
+     * The job matrix: every (workload x pipeline) job fanned out on
+     * @p engine under the failure policy, the run's @p token and the
+     * per-job deadline, with journal replay and bounded retry, into
+     * @p report's results and failure counts.
+     */
+    void runJobs(sim::Runner &runner, sim::SweepEngine &engine,
+                 CancellationToken &token, double deadline_s,
+                 std::uint64_t result_hash, ExperimentReport &report);
+
     ExperimentSpec spec;
     DriverOptions opts;
 };

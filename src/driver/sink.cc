@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "common/log.hh"
-#include "sim/config_report.hh"
 #include "stats/summary.hh"
 #include "stats/table.hh"
 
@@ -95,43 +94,16 @@ printMetric(std::string &out, const ExperimentSpec &spec,
             table.render().c_str());
 }
 
-/** Printed only when failures exist: no-failure output is
- *  byte-identical to the pre-failure-handling renderer. */
-void
-printFailures(std::string &out, const std::vector<JobResult> &results)
-{
-    std::size_t failed = 0;
-    for (const auto &r : results)
-        if (!r.ok)
-            ++failed;
-    if (failed == 0)
-        return;
-    appendf(out, "failures: %zu of %zu job%s\n", failed,
-            results.size(), results.size() == 1 ? "" : "s");
-    for (const auto &r : results) {
-        if (r.ok)
-            continue;
-        // errorMessage self-describes (recordFailure guarantees
-        // the code-name prefix), so no code column here.
-        appendf(out, "  %s/%s: %s (attempts=%u)\n", r.workload.c_str(),
-                r.pipeline.c_str(), r.errorMessage.c_str(), r.attempts);
-    }
-    appendf(out, "\n");
-}
-
 /**
  * The table sink: one table per metric, workloads as rows and
  * pipelines as columns, plus the figures' Geomean row (geomean over
  * the positive values only, so a pipeline stuck at zero reports 0
- * instead of poisoning the mean). A static-report spec renders its
- * report instead.
+ * instead of poisoning the mean).
  */
 std::string
 renderTable(const ExperimentSpec &spec, const RunMeta &meta,
             const std::vector<JobResult> &results)
 {
-    if (spec.report == ExperimentSpec::Report::SystemConfig)
-        return sim::systemConfigReport(spec.baseConfig());
     std::string out;
     appendf(out,
             "\n== %s: %zu workload%s x %zu pipeline%s "
@@ -143,7 +115,7 @@ renderTable(const ExperimentSpec &spec, const RunMeta &meta,
             static_cast<unsigned long long>(meta.specHash));
     for (const auto &metric : spec.metrics)
         printMetric(out, spec, results, metric);
-    printFailures(out, results);
+    out += renderFailures(results);
     // Cumulative phase split from the metrics registry: summed over
     // workers, so the parenthesis can exceed the wall time on
     // multiple threads. Golden-output comparisons already exclude the
@@ -312,6 +284,32 @@ renderCsv(const ExperimentSpec &spec,
 }
 
 } // anonymous namespace
+
+std::string
+renderFailures(const std::vector<JobResult> &results)
+{
+    // Empty when nothing failed: no-failure output is byte-identical
+    // to the pre-failure-handling renderer.
+    std::string out;
+    std::size_t failed = 0;
+    for (const auto &r : results)
+        if (!r.ok)
+            ++failed;
+    if (failed == 0)
+        return out;
+    appendf(out, "failures: %zu of %zu job%s\n", failed,
+            results.size(), results.size() == 1 ? "" : "s");
+    for (const auto &r : results) {
+        if (r.ok)
+            continue;
+        // errorMessage self-describes (recordFailure guarantees
+        // the code-name prefix), so no code column here.
+        appendf(out, "  %s/%s: %s (attempts=%u)\n", r.workload.c_str(),
+                r.pipeline.c_str(), r.errorMessage.c_str(), r.attempts);
+    }
+    appendf(out, "\n");
+    return out;
+}
 
 std::string
 renderSink(const SinkSpec &sink, const ExperimentSpec &spec,

@@ -6,8 +6,7 @@
  * output is bit-identical across thread counts and across callers
  * (`prophet run`, the serve daemon, the golden tests).
  *
- *   table — the human-readable per-metric tables with a Geomean row,
- *           or a static-report spec's report;
+ *   table — the human-readable per-metric tables with a Geomean row;
  *   json  — one machine-readable document with full RunStats per
  *           job plus run metadata, for perf tracking;
  *   csv   — one row per job, for spreadsheets.
@@ -104,6 +103,12 @@ struct SinkOutput
 std::string renderSink(const SinkSpec &sink, const ExperimentSpec &spec,
                        const RunMeta &meta,
                        const std::vector<JobResult> &results);
+
+/**
+ * The table sink's failure summary: "failures: N of M jobs" and one
+ * line per failed job with its error. Empty when every job completed.
+ */
+std::string renderFailures(const std::vector<JobResult> &results);
 
 /**
  * Put rendered bytes where their sink belongs: a table to stdout, a

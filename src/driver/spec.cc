@@ -8,6 +8,8 @@
 
 #include "common/checksum.hh"
 #include "common/log.hh"
+#include "sim/energy.hh"
+#include "sim/reports.hh"
 #include "sim/runner.hh"
 #include "workloads/registry.hh"
 
@@ -412,6 +414,10 @@ metricTable()
          [](Runner &, const std::string &, const RunStats &s) {
              return static_cast<double>(s.offchipMeta.total());
          }},
+        {"energy", "Memory-Hierarchy Energy (uJ)",
+         [](Runner &, const std::string &, const RunStats &s) {
+             return sim::memoryEnergy(s).totalNj() / 1000.0;
+         }},
     };
     return table;
 }
@@ -423,6 +429,57 @@ findMetric(const std::string &name)
         if (name == m.name)
             return &m;
     return nullptr;
+}
+
+const std::vector<ReportDef> &
+reportTable()
+{
+    using sim::Runner;
+    using Each = sim::ForEachWorkload;
+    // The config keys change Table 1 and Figure 6's profiling run.
+    static const std::vector<ReportDef> table = {
+        {"system-config",
+         {"l1", "dram_channels", "warmup_records"},
+         [](const ExperimentSpec &s, Runner &, const Each &) {
+             return sim::systemConfigReport(s.baseConfig());
+         }},
+        {"storage", {},
+         [](const ExperimentSpec &, Runner &, const Each &) {
+             return sim::storageReport();
+         }},
+        {"pattern-conf",
+         {"workloads", "records", "threads", "trace_cache"},
+         [](const ExperimentSpec &s, Runner &r, const Each &each) {
+             return sim::patternConfReport(r, each, s.workloads);
+         }},
+        {"pc-accuracy",
+         {"workloads", "records", "threads", "trace_cache", "l1",
+          "dram_channels", "warmup_records"},
+         [](const ExperimentSpec &s, Runner &r, const Each &each) {
+             return sim::pcAccuracyReport(r, each, s.workloads);
+         }},
+        {"markov-targets",
+         {"workloads", "records", "threads", "trace_cache"},
+         [](const ExperimentSpec &s, Runner &r, const Each &each) {
+             return sim::markovTargetsReport(r, each, s.workloads);
+         }},
+    };
+    return table;
+}
+
+const ReportDef *
+findReport(const std::string &name)
+{
+    for (const ReportDef &r : reportTable())
+        if (name == r.name)
+            return &r;
+    return nullptr;
+}
+
+bool
+ReportDef::takes(const std::string &key) const
+{
+    return std::find(keys.begin(), keys.end(), key) != keys.end();
 }
 
 ExperimentSpec
@@ -446,27 +503,33 @@ ExperimentSpec::fromJson(const json::Value &root)
     }
 
     if (const json::Value *v = root.find("report")) {
-        if (!v->isString() || v->asString() != "system-config")
-            specFail("\"report\" must be \"system-config\"");
-        spec.report = Report::SystemConfig;
-        // A report runs no jobs: job-matrix keys would be silently
-        // ignored, so they are errors. Config keys (l1,
-        // dram_channels, warmup_records) stay legal — they change
-        // the reported configuration.
-        for (const char *key :
-             {"workloads", "pipelines", "sweep", "metrics", "sinks",
-              "records", "threads", "trace_cache", "sampling",
-              "deadline_s"})
-            if (root.find(key))
-                specFail(std::string("\"") + key
-                         + "\" has no effect in a \"report\" spec");
+        if (!v->isString())
+            specFail("\"report\" must be a string");
+        spec.report = findReport(v->asString());
+        if (!spec.report) {
+            std::string known;
+            for (const ReportDef &r : reportTable())
+                known += (known.empty() ? "" : " ") + std::string(r.name);
+            specFail("unknown report \"" + v->asString() + "\" (known: "
+                     + known + ")");
+        }
+        // A report runs no job matrix, and its text depends only on
+        // its own keys: any other would be silently ignored, so it is
+        // an error.
+        for (const auto &[key, value] : root.asObject()) {
+            (void)value;
+            if (key != "name" && key != "report"
+                && !spec.report->takes(key))
+                specFail("\"" + key + "\" has no effect in a \""
+                         + spec.report->name + "\" report spec");
+        }
     }
 
     const json::Value *wl = root.find("workloads");
     if (wl)
         spec.workloads =
             expandWorkloads(asStringList(*wl, "workloads"));
-    else if (spec.report == Report::None)
+    else if (!spec.report || spec.report->takes("workloads"))
         specFail("missing required key \"workloads\"");
 
     const json::Value *pl = root.find("pipelines");
@@ -477,7 +540,7 @@ ExperimentSpec::fromJson(const json::Value &root)
             spec.pipelines.push_back(parsePipeline(elem));
         if (spec.pipelines.empty())
             specFail("\"pipelines\" must name at least one pipeline");
-    } else if (spec.report == Report::None) {
+    } else if (!spec.report) {
         specFail("missing required key \"pipelines\"");
     }
 
@@ -584,8 +647,8 @@ ExperimentSpec::toJson() const
 {
     json::Value root = json::Value::makeObject();
     root.set("name", json::Value(name));
-    if (report == Report::SystemConfig)
-        root.set("report", json::Value(std::string("system-config")));
+    if (report)
+        root.set("report", json::Value(report->name));
     auto list = [](const std::vector<std::string> &v) {
         json::Value arr = json::Value::makeArray();
         for (const auto &s : v)
@@ -636,8 +699,8 @@ ExperimentSpec::resultHash(std::size_t effective_records) const
             arr.push(json::Value(s));
         return arr;
     };
-    if (report == Report::SystemConfig)
-        root.set("report", json::Value(std::string("system-config")));
+    if (report)
+        root.set("report", json::Value(report->name));
     root.set("workloads", list(workloads));
     root.set("pipelines", pipelinesToJson(pipelines, false));
     root.set("metrics", list(metrics));

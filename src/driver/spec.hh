@@ -24,6 +24,7 @@
  *     },
  *     "metrics": ["speedup"],        // speedup traffic coverage
  *                                    // accuracy ipc meta_lines
+ *                                    // energy
  *     "records": 0,                  // trace-length override
  *     "threads": 1,                  // 0 = hardware concurrency
  *     "l1": "stride",                // stride | ipcp | none
@@ -41,9 +42,15 @@
  *               {"type": "json", "path": "out.json"}]
  *   }
  *
- * A spec may instead request a static report —
- * {"name": "table1", "report": "system-config"} — which prints the
- * Table 1 configuration without running jobs.
+ * A spec may instead name a report from the report table
+ * (reportTable(): system-config, storage, pattern-conf, pc-accuracy,
+ * markov-targets), which prints one paper artifact instead of running
+ * a job matrix: {"name": "table1", "report": "system-config"}. A
+ * report takes only the keys its text depends on (ReportDef::keys):
+ * one that reads traces needs "workloads" and accepts "records",
+ * "threads" and "trace_cache"; system-config and pc-accuracy accept
+ * the configuration keys "l1", "dram_channels" and "warmup_records".
+ * Any other key is an error.
  *
  * Unknown keys anywhere are errors — a typoed knob, pipeline name,
  * or pipeline parameter must not silently run the default
@@ -60,6 +67,7 @@
 #include "common/error.hh"
 #include "driver/json.hh"
 #include "sim/pipelines.hh"
+#include "sim/reports.hh"
 #include "sim/system_config.hh"
 
 namespace prophet::driver
@@ -93,14 +101,16 @@ const char *sinkKindName(SinkSpec::Kind kind);
 /** The kind spelled @p name into @p kind; false for an unknown name. */
 bool parseSinkKind(const std::string &name, SinkSpec::Kind &kind);
 
+struct ReportDef;
+
 /** The parsed, validated experiment description. */
 struct ExperimentSpec
 {
-    /** A static report instead of a job matrix. */
-    enum class Report { None, SystemConfig };
-
     std::string name = "experiment";
-    Report report = Report::None;
+
+    /** The report the spec prints instead of a job matrix, or null. */
+    const ReportDef *report = nullptr;
+
     std::vector<std::string> workloads; ///< aliases expanded
     /** Validated against the registry; the sweep axis expanded. */
     std::vector<sim::PipelineInstance> pipelines;
@@ -196,6 +206,30 @@ const std::vector<MetricDef> &metricTable();
  * rejects such a spec, so a parsed spec's names always resolve).
  */
 const MetricDef *findMetric(const std::string &name);
+
+/**
+ * One paper artifact a spec can print instead of a job matrix: the
+ * name a spec's "report" uses, the spec keys its text depends on
+ * besides "name" and "report" (a report with "workloads" reads
+ * traces and requires them), and how the run renders it. The text is
+ * the run's one output, printed by the table sink.
+ */
+struct ReportDef
+{
+    const char *name;
+    std::vector<std::string> keys;
+    std::string (*render)(const ExperimentSpec &spec, sim::Runner &runner,
+                          const sim::ForEachWorkload &each);
+
+    /** Whether the report reads spec key @p key. */
+    bool takes(const std::string &key) const;
+};
+
+/** Every report a spec can name, in documentation order. */
+const std::vector<ReportDef> &reportTable();
+
+/** The report named @p name, or nullptr when there is none. */
+const ReportDef *findReport(const std::string &name);
 
 } // namespace prophet::driver
 

@@ -100,12 +100,6 @@ class TemporalPrefetcher
      */
     virtual void notifyUseful(PC pc) { (void)pc; }
 
-    /**
-     * Feedback: an unused prefetched line credited to @p pc was
-     * evicted (the prefetch was useless).
-     */
-    virtual void notifyUseless(PC pc) { (void)pc; }
-
     /** LLC ways currently allocated to the metadata table. */
     virtual unsigned metadataWays() const = 0;
 

@@ -238,9 +238,9 @@ runTriage(Runner &runner, const PipelineInstance &p,
         p.string("meta_replacement", cfg.triage.metaReplacement);
     cfg.triage.bloomResizing =
         p.boolean("bloom_resizing", cfg.triage.bloomResizing);
-    unsigned degree = static_cast<unsigned>(
+    cfg.triage.degree = static_cast<unsigned>(
         p.number("degree", default_degree));
-    cfg.l2Pf = degree >= 4 ? L2PfKind::Triage4 : L2PfKind::Triage;
+    cfg.l2Pf = L2PfKind::Triage;
     return runner.runConfig(workload, cfg);
 }
 

@@ -67,6 +67,13 @@ Runner::setThreadJobCancellation(const CancellationToken *token)
     tl_job_cancel = token;
 }
 
+void
+Runner::checkThreadJobCancellation()
+{
+    if (tl_job_cancel && tl_job_cancel->cancelled())
+        throw Error(ErrorCode::Cancelled, "pass cancelled mid-trace");
+}
+
 template <typename V, typename Compute>
 std::shared_ptr<const V>
 Runner::computeOnce(OnceMap<V> &map, const std::string &key,

@@ -102,6 +102,12 @@ class Runner
         const CancellationToken *token);
 
     /**
+     * Throw Error(ErrorCode::Cancelled) once the calling thread's job
+     * token has fired: the poll of a pass that builds no System.
+     */
+    static void checkThreadJobCancellation();
+
+    /**
      * The (cached) trace of a workload. The reference stays valid
      * until the workload's entry is dropped (releaseTrace) and no
      * run pins it any more.

@@ -69,18 +69,9 @@ System::System(const SystemConfig &config,
     switch (cfg.l2Pf) {
       case L2PfKind::None:
         break;
-      case L2PfKind::Triage: {
-        pf::TriageConfig tc = cfg.triage;
-        tc.degree = 1;
-        l2Pf = std::make_unique<pf::TriagePrefetcher>(tc);
+      case L2PfKind::Triage:
+        l2Pf = std::make_unique<pf::TriagePrefetcher>(cfg.triage);
         break;
-      }
-      case L2PfKind::Triage4: {
-        pf::TriageConfig tc = cfg.triage;
-        tc.degree = 4;
-        l2Pf = std::make_unique<pf::TriagePrefetcher>(tc);
-        break;
-      }
       case L2PfKind::Triangel:
         l2Pf = std::make_unique<pf::TriangelPrefetcher>(cfg.triangel);
         break;

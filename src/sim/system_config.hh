@@ -30,8 +30,7 @@ enum class L1PfKind { None, Stride, Ipcp };
 enum class L2PfKind
 {
     None,       ///< baseline without temporal prefetching
-    Triage,     ///< Triage, degree 1, Hawkeye metadata replacement
-    Triage4,    ///< Triage at prefetch degree 4 (Figure 19 baseline)
+    Triage,     ///< Triage as SystemConfig::triage configures it
     Triangel,   ///< Triangel (state of the art)
     Prophet,    ///< Prophet (profile-guided), needs an OptimizedBinary
     Simplified, ///< Prophet's profiling configuration (Section 3.2)

@@ -1,8 +1,9 @@
 /**
  * @file
- * Aligned text-table rendering for benchmark output. Each bench binary
- * prints the rows/series its paper figure reports; this class keeps
- * that output readable and uniform.
+ * Aligned text-table rendering for the driver's table sink and the
+ * paper reports (sim/reports.hh). Each prints the rows/series its
+ * paper figure reports; this class keeps that output readable and
+ * uniform.
  */
 
 #ifndef PROPHET_STATS_TABLE_HH

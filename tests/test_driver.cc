@@ -20,6 +20,7 @@
 #include "common/error.hh"
 #include "common/fault_injection.hh"
 #include "common/metrics.hh"
+#include "common/span_trace.hh"
 #include "driver/driver.hh"
 #include "driver/json.hh"
 #include "sim/runner.hh"
@@ -217,7 +218,10 @@ expectStatsEq(const sim::RunStats &a, const sim::RunStats &b)
     EXPECT_EQ(a.pcMisses, b.pcMisses);
 }
 
-/** Run @p spec on 1 and on 4 threads: every result must agree. */
+/**
+ * Run @p spec on 1 and on 4 threads: every result, and a report's
+ * text, must agree.
+ */
 void
 expectThreadCountIndependent(const ExperimentSpec &spec)
 {
@@ -228,6 +232,12 @@ expectThreadCountIndependent(const ExperimentSpec &spec)
     auto r4 = ExperimentDriver(spec, o4).run();
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(r4.ok());
+    if (spec.report) {
+        ASSERT_EQ(r1.outputs.size(), 1u);
+        ASSERT_EQ(r4.outputs.size(), 1u);
+        EXPECT_FALSE(r1.outputs[0].bytes.empty());
+        EXPECT_EQ(r1.outputs[0].bytes, r4.outputs[0].bytes);
+    }
     ASSERT_EQ(r1.results.size(), r4.results.size());
     for (std::size_t i = 0; i < r1.results.size(); ++i) {
         SCOPED_TRACE(r1.results[i].workload + "/"
@@ -252,6 +262,15 @@ TEST_F(DriverTest, ResultsIndependentOfThreadCount)
         " \"workloads\": [\"sphinx3\", \"sssp_100000_5\"],"
         " \"pipelines\": [\"rpg2\", \"prophet\"],"
         " \"metrics\": [\"speedup\", \"coverage\"],"
+        " \"records\": 60000, \"trace_cache\": false}",
+        doc, nullptr));
+    expectThreadCountIndependent(ExperimentSpec::fromJson(doc));
+
+    // A trace report fans out over its workloads on the same engine
+    // and merges by workload index.
+    ASSERT_TRUE(json::parse(
+        "{\"name\": \"fig8\", \"report\": \"markov-targets\","
+        " \"workloads\": [\"mcf\", \"omnetpp\", \"sphinx3\"],"
         " \"records\": 60000, \"trace_cache\": false}",
         doc, nullptr));
     expectThreadCountIndependent(ExperimentSpec::fromJson(doc));
@@ -549,6 +568,118 @@ TEST_F(DriverTest, FailFastSkipsTheRemainingJobs)
     }
 }
 
+/** A markov-targets (Figure 8) spec over @p workloads. */
+ExperimentSpec
+markovTargetsSpec(const std::string &workloads, std::size_t records)
+{
+    return ExperimentSpec::fromJson(parseJson(
+        "{\"name\": \"fig8\", \"report\": \"markov-targets\","
+        " \"workloads\": " + workloads + ", \"records\": "
+        + std::to_string(records) + ", \"trace_cache\": false}"));
+}
+
+TEST_F(DriverTest, ReportPassesHonourAFiredShutdownToken)
+{
+    // A report's passes run under the run's token like jobs: a
+    // signal, a daemon client's disconnect or a drain stops them,
+    // and the run reads as interrupted (exit 6), with the skipped
+    // passes listed in place of the text.
+    CancellationToken shutdown;
+    shutdown.cancel();
+    DriverOptions opts;
+    opts.shutdown = &shutdown;
+    opts.threads = 2;
+    auto report =
+        ExperimentDriver(ExperimentSpec::fromJson(parseJson(
+                             "{\"report\": \"pc-accuracy\","
+                             " \"workloads\": [\"mcf\", \"omnetpp\"],"
+                             " \"records\": 20000,"
+                             " \"trace_cache\": false}")),
+                         opts)
+            .run();
+    EXPECT_TRUE(report.interrupted);
+    EXPECT_EQ(exitCodeForReport(report, false), 6);
+    ASSERT_EQ(report.results.size(), 2u);
+    EXPECT_EQ(report.failedJobs, 2u);
+    for (const auto &r : report.results) {
+        EXPECT_EQ(r.pipeline, "pc-accuracy");
+        EXPECT_EQ(r.errorCode, ErrorCode::Cancelled);
+        // A report keeps no journal: nothing to resume.
+        EXPECT_EQ(r.errorMessage.find("resume"), std::string::npos)
+            << r.errorMessage;
+    }
+    ASSERT_EQ(report.outputs.size(), 1u);
+    EXPECT_EQ(report.outputs[0].bytes.rfind("failures: 2 of 2 jobs", 0),
+              0u)
+        << report.outputs[0].bytes;
+}
+
+TEST_F(DriverTest, ReportPassDeadlineCancelsAsJobTimeout)
+{
+    // The Figure 8 pass builds no System: it polls the attempt's
+    // token itself, so the per-job deadline (--job-timeout, a daemon
+    // request's deadline) stops it mid-trace. Each attempt times out,
+    // the retry too, and the report fails instead of finishing late.
+    DriverOptions opts;
+    opts.jobTimeoutS = 0.001;
+    auto report =
+        ExperimentDriver(markovTargetsSpec("[\"mcf\"]", 1'000'000), opts)
+            .run();
+    EXPECT_FALSE(report.interrupted);
+    EXPECT_EQ(exitCodeForReport(report, false), 4);
+    ASSERT_EQ(report.results.size(), 1u);
+    EXPECT_EQ(report.results[0].errorCode, ErrorCode::JobTimeout);
+    EXPECT_EQ(report.results[0].attempts, 2u);
+    ASSERT_EQ(report.outputs.size(), 1u);
+    EXPECT_EQ(report.outputs[0].bytes.rfind("failures: 1 of 1 job", 0),
+              0u)
+        << report.outputs[0].bytes;
+}
+
+TEST_F(DriverTest, ReportPassesRetryTransientFailuresAndFailFast)
+{
+    const std::string workloads = "[\"mcf\", \"omnetpp\"]";
+    auto ref = ExperimentDriver(markovTargetsSpec(workloads, kRecords)).run();
+    ASSERT_TRUE(ref.ok());
+    ASSERT_EQ(ref.outputs.size(), 1u);
+
+    // A transient failure of a pass retries, and the text is the
+    // same as an unfaulted run's.
+    fault::reset();
+    fault::arm("job-transient.mcf/markov-targets", 1, 1);
+    auto retried =
+        ExperimentDriver(markovTargetsSpec(workloads, kRecords)).run();
+    fault::reset();
+    EXPECT_TRUE(retried.ok());
+    ASSERT_EQ(retried.results.size(), 2u);
+    EXPECT_EQ(retried.results[0].attempts, 2u);
+    EXPECT_EQ(retried.results[1].attempts, 1u);
+    ASSERT_EQ(retried.outputs.size(), 1u);
+    EXPECT_EQ(retried.outputs[0].bytes, ref.outputs[0].bytes);
+
+    // A permanent failure fails the report fast, even under
+    // --keep-going: the text needs every pass.
+    fault::arm("job.mcf/markov-targets", 1);
+    DriverOptions keep;
+    keep.keepGoing = 1;
+    keep.threads = 1;
+    ExperimentDriver drv(markovTargetsSpec(workloads, kRecords), keep);
+    EXPECT_FALSE(drv.keepGoingEnabled());
+    auto failed = drv.run();
+    fault::reset();
+    EXPECT_FALSE(failed.interrupted);
+    EXPECT_EQ(exitCodeForReport(failed, drv.keepGoingEnabled()), 4);
+    EXPECT_EQ(failed.failedJobs, 2u);
+    EXPECT_EQ(failed.results[0].errorCode, ErrorCode::FaultInjected);
+    EXPECT_EQ(failed.results[1].errorCode, ErrorCode::Cancelled);
+    ASSERT_EQ(failed.outputs.size(), 1u);
+    const std::string &text = failed.outputs[0].bytes;
+    EXPECT_EQ(text.rfind("failures: 2 of 2 jobs", 0), 0u) << text;
+    EXPECT_NE(text.find("mcf/markov-targets: fault-injected"),
+              std::string::npos)
+        << text;
+}
+
 TEST_F(DriverTest, MetricsOutWritesReportAndResetsBetweenRuns)
 {
     std::string out_path = dir + "/results.json";
@@ -604,6 +735,36 @@ TEST_F(DriverTest, MetricsOutWritesReportAndResetsBetweenRuns)
     EXPECT_EQ(
         second.find("counters")->find("sim.records")->asNumber(),
         first_records);
+
+    // A report ends in the same tail as a job matrix: it writes both
+    // observability files, and span tracing is switched off again.
+    const std::string trace_path = dir + "/trace.json";
+    for (const char *text :
+         {"{\"report\": \"storage\"}",
+          "{\"report\": \"markov-targets\", \"workloads\": [\"mcf\"],"
+          " \"records\": 20000, \"trace_cache\": false}"}) {
+        SCOPED_TRACE(text);
+        fs::remove(metrics_path);
+        fs::remove(trace_path);
+        DriverOptions ropts;
+        ropts.metricsOut = metrics_path;
+        ropts.traceOut = trace_path;
+        auto report =
+            ExperimentDriver(ExperimentSpec::fromJson(parseJson(text)),
+                             ropts)
+                .run();
+        EXPECT_TRUE(report.ok());
+        EXPECT_FALSE(span::enabled());
+        ASSERT_TRUE(fs::exists(metrics_path));
+        ASSERT_TRUE(fs::exists(trace_path));
+        auto m = readJson(metrics_path);
+        for (const char *key : {"phases", "counters", "jobs"})
+            EXPECT_NE(m.find(key), nullptr) << key;
+        auto t = readJson(trace_path);
+        const json::Value *events = t.find("traceEvents");
+        ASSERT_NE(events, nullptr);
+        EXPECT_FALSE(events->asArray().empty());
+    }
 }
 
 TEST(DriverDeathTest, UnsampledRunListsNoPhaseThatNeverRan)

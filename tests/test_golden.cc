@@ -6,9 +6,10 @@
  *
  *   Fast/ — every spec at a 20k-record override (the default ctest
  *           entry, test_golden);
- *   Full/ — the six historical specs at their own size, expected
- *           files under tests/golden/full/ (test_golden_slow, ctest
- *           label "slow").
+ *   Full/ — the six historical specs and the five paper-artifact
+ *           specs (storage, energy, fig1, fig6, fig8) at their own
+ *           size, expected files under tests/golden/full/
+ *           (test_golden_slow, ctest label "slow").
  *
  * Both run on a fixed thread count (the table header prints it) with
  * the trace cache off. normalize() is the only place output is
@@ -77,8 +78,9 @@ std::vector<GoldenCase>
 fullCases()
 {
     std::vector<GoldenCase> out;
-    for (const char *stem : {"smoke", "smoke_params", "offchip",
-                             "ablation_repl", "fig10", "fig19"})
+    for (const char *stem :
+         {"smoke", "smoke_params", "offchip", "ablation_repl", "fig10",
+          "fig19", "storage", "energy", "fig1", "fig6", "fig8"})
         out.push_back({stem, true});
     return out;
 }

@@ -52,8 +52,8 @@ expectSameRun(const RunStats &a, const RunStats &b,
 
 /**
  * The legacy per-pipeline Runner path for every registered name,
- * captured verbatim before its deletion (Runner::runTriage/
- * runTriangel and the driver.cc if-chain).
+ * captured before its deletion (Runner::runTriage/runTriangel and the
+ * driver.cc if-chain). Triage4 is the one Triage kind at degree 4.
  */
 RunStats
 legacyRun(Runner &runner, const std::string &pipeline,
@@ -65,8 +65,8 @@ legacyRun(Runner &runner, const std::string &pipeline,
         return runner.runRpg2(workload).stats;
     if (pipeline == "triage" || pipeline == "triage4") {
         SystemConfig cfg = runner.baseConfig();
-        cfg.l2Pf = pipeline == "triage4" ? L2PfKind::Triage4
-                                         : L2PfKind::Triage;
+        cfg.l2Pf = L2PfKind::Triage;
+        cfg.triage.degree = pipeline == "triage4" ? 4 : 1;
         return runner.runConfig(workload, cfg);
     }
     if (pipeline == "triangel") {
@@ -147,7 +147,7 @@ TEST(PipelineRegistry, UnknownNameThrowsListingRegistered)
     }
 }
 
-TEST(PipelineRegistry, TriageDegreeParamMatchesTriage4Kind)
+TEST(PipelineRegistry, TriageDegreeParamMatchesTriage4Pipeline)
 {
     Runner runner(SystemConfig::table1(), kRecords);
     PipelineInstance d4("triage");
@@ -164,7 +164,8 @@ TEST(PipelineRegistry, TriageReplacementParamMatchesHandBuiltConfig)
     p.params["bloom_resizing"] = ParamValue::makeBool(false);
 
     SystemConfig cfg = runner.baseConfig();
-    cfg.l2Pf = L2PfKind::Triage4;
+    cfg.l2Pf = L2PfKind::Triage;
+    cfg.triage.degree = 4;
     cfg.triage.metaReplacement = "srrip";
     cfg.triage.bloomResizing = false;
     expectSameRun(runner.run(p, "mcf"), runner.runConfig("mcf", cfg),
@@ -354,22 +355,28 @@ expectIdenticalStats(const RunStats &a, const RunStats &b,
  */
 TEST(SystemRunLoop, BitIdenticalToScalarStepLoop)
 {
-    const std::pair<L2PfKind, const char *> kinds[] = {
-        {L2PfKind::None, "none"},
-        {L2PfKind::Triage, "triage"},
-        {L2PfKind::Triage4, "triage4"},
-        {L2PfKind::Triangel, "triangel"},
-        {L2PfKind::Prophet, "prophet"},
-        {L2PfKind::Simplified, "simplified"},
-        {L2PfKind::Stms, "stms"},
-        {L2PfKind::Domino, "domino"},
+    const struct
+    {
+        L2PfKind kind;
+        unsigned triageDegree;
+        const char *name;
+    } kinds[] = {
+        {L2PfKind::None, 1, "none"},
+        {L2PfKind::Triage, 1, "triage"},
+        {L2PfKind::Triage, 4, "triage4"},
+        {L2PfKind::Triangel, 1, "triangel"},
+        {L2PfKind::Prophet, 1, "prophet"},
+        {L2PfKind::Simplified, 1, "simplified"},
+        {L2PfKind::Stms, 1, "stms"},
+        {L2PfKind::Domino, 1, "domino"},
     };
     for (const char *workload : {"mcf", "omnetpp"}) {
         auto gen = workloads::makeWorkload(workload, kRecords);
         const trace::Trace t = gen->generate();
-        for (const auto &[kind, name] : kinds) {
+        for (const auto &[kind, triage_degree, name] : kinds) {
             SystemConfig cfg = SystemConfig::table1();
             cfg.l2Pf = kind;
+            cfg.triage.degree = triage_degree;
 
             System via_run(cfg, gen->resolver());
             RunStats run_stats = via_run.run(t);
@@ -568,28 +575,98 @@ TEST(PipelineSpec, HashCanonicalizesObjectForm)
     EXPECT_EQ(bare.resultHash(0), labelled.resultHash(0));
 }
 
-TEST(PipelineSpec, SystemConfigReportSpecParses)
+TEST(PipelineSpec, ReportSpecsParse)
 {
     auto spec = specOk("{\"name\": \"table1\","
                        " \"report\": \"system-config\"}");
-    EXPECT_EQ(spec.report, ExperimentSpec::Report::SystemConfig);
+    ASSERT_NE(spec.report, nullptr);
+    EXPECT_STREQ(spec.report->name, "system-config");
     EXPECT_TRUE(spec.workloads.empty());
     EXPECT_TRUE(spec.pipelines.empty());
-    specErr("{\"report\": \"vibes\"}");
     // Without a report, workloads/pipelines stay required.
     specErr("{}");
-    // Job-matrix keys would be silently ignored by a report spec,
-    // so they are rejected; config keys remain legal.
-    auto err = specErr("{\"report\": \"system-config\","
-                       " \"sinks\": [{\"type\": \"json\","
-                       " \"path\": \"o.json\"}]}");
-    EXPECT_NE(err.find("sinks"), std::string::npos) << err;
-    specErr("{\"report\": \"system-config\","
-            " \"workloads\": [\"mcf\"]}");
-    specErr("{\"report\": \"system-config\", \"threads\": 2}");
-    auto cfg = specOk("{\"report\": \"system-config\","
-                      " \"dram_channels\": 2}");
-    EXPECT_EQ(cfg.baseConfig().hier.dram.channels, 2u);
+    // An unknown report fails and lists the known ones.
+    auto err = specErr("{\"report\": \"vibes\"}");
+    EXPECT_NE(err.find("vibes"), std::string::npos) << err;
+    for (const ReportDef &r : reportTable())
+        EXPECT_NE(err.find(r.name), std::string::npos) << err;
+
+    // Every key a report might take, with a legal value. A report
+    // takes only the keys its text depends on; any other would be
+    // silently ignored, so it is an error.
+    const std::pair<std::string, std::string> keys[] = {
+        {"records", "1000"},
+        {"threads", "2"},
+        {"trace_cache", "false"},
+        {"l1", "\"none\""},
+        {"dram_channels", "2"},
+        {"warmup_records", "5000"},
+        {"keep_going", "true"},
+        {"pipelines", "[\"triangel\"]"},
+        {"sweep", "{\"param\": \"degree\", \"values\": [1]}"},
+        {"metrics", "[\"ipc\"]"},
+        {"sinks", "[{\"type\": \"json\", \"path\": \"o.json\"}]"},
+        {"sampling", "{\"window_records\": 1000}"},
+        {"deadline_s", "5"},
+    };
+    const std::string workloads = ", \"workloads\": [\"mcf\"]";
+    for (const ReportDef &r : reportTable()) {
+        SCOPED_TRACE(r.name);
+        const std::string report =
+            std::string("{\"report\": \"") + r.name + "\"";
+        const bool reads_traces = r.takes("workloads");
+        const std::string base =
+            report + (reads_traces ? workloads : "");
+        EXPECT_EQ(specOk(base + "}").report, &r);
+        // A trace report needs its workloads; any other takes none.
+        err = specErr(reads_traces ? report + "}"
+                                   : report + workloads + "}");
+        EXPECT_NE(err.find("workloads"), std::string::npos) << err;
+        for (const auto &[key, value] : keys) {
+            SCOPED_TRACE(key);
+            const std::string text =
+                base + ", \"" + key + "\": " + value + "}";
+            if (r.takes(key)) {
+                specOk(text);
+                continue;
+            }
+            err = specErr(text);
+            EXPECT_NE(err.find("\"" + key + "\" has no effect"),
+                      std::string::npos)
+                << err;
+        }
+    }
+    // The trace reports load traces the spec sizes; the config keys
+    // reach the configuration Table 1 prints and Figure 6 profiles
+    // under, and no other report.
+    for (const char *name :
+         {"pattern-conf", "pc-accuracy", "markov-targets"}) {
+        auto loaded = specOk(std::string("{\"report\": \"") + name
+                             + "\"" + workloads
+                             + ", \"records\": 1000, \"threads\": 2,"
+                               " \"trace_cache\": false}");
+        EXPECT_EQ(loaded.records, 1000u);
+        EXPECT_EQ(loaded.threads, 2u);
+        EXPECT_FALSE(loaded.traceCache);
+    }
+    EXPECT_EQ(specOk("{\"report\": \"system-config\","
+                     " \"dram_channels\": 2}")
+                  .baseConfig()
+                  .hier.dram.channels,
+              2u);
+    EXPECT_EQ(specOk("{\"report\": \"pc-accuracy\"" + workloads
+                     + ", \"dram_channels\": 2}")
+                  .baseConfig()
+                  .hier.dram.channels,
+              2u);
+    for (const char *name : {"storage", "pattern-conf", "markov-targets"})
+        EXPECT_FALSE(findReport(name)->takes("dram_channels")) << name;
+    // The result hash names the report: two reports over the same
+    // workloads are different experiments.
+    EXPECT_NE(specOk("{\"report\": \"pattern-conf\"" + workloads + "}")
+                  .resultHash(0),
+              specOk("{\"report\": \"markov-targets\"" + workloads + "}")
+                  .resultHash(0));
 }
 
 } // anonymous namespace

@@ -297,39 +297,48 @@ TEST_F(ServeDaemonTest, RunMatchesStandaloneDriverByteForByte)
     EXPECT_EQ(served, report.outputs[0].bytes);
 }
 
-TEST_F(ServeDaemonTest, StaticReportMatchesStandaloneDriverByteForByte)
+TEST_F(ServeDaemonTest, ReportsMatchStandaloneDriverByteForByte)
 {
-    // A static report runs no jobs, but its text must still travel
-    // back through the default table sink — not land on the daemon's
-    // own stdout and leave the client with nothing to print.
-    const std::string table1 =
-        "{\"name\": \"table1\", \"report\": \"system-config\"}";
+    // A report runs no jobs, but its text must still travel back
+    // through the default table sink — not land on the daemon's own
+    // stdout and leave the client with nothing to print. A trace
+    // report reads its traces through the daemon's resident Runner
+    // and prints the same bytes as the CLI.
+    const std::pair<std::string, const char *> reports[] = {
+        {"{\"name\": \"table1\", \"report\": \"system-config\"}",
+         "== Table 1: System Configuration =="},
+        {"{\"name\": \"fig8\", \"report\": \"markov-targets\","
+         " \"workloads\": [\"mcf\", \"omnetpp\"], \"records\": "
+             + std::to_string(kRecords) + ", \"trace_cache\": false}",
+         "\n== Figure 8: Markov target count distribution =="},
+    };
     ServeDaemon daemon(opts);
     daemon.start();
-    json::Value resp = roundTrip(sock, runRequest(table1));
-    ASSERT_EQ(frameType(resp), "result") << errorCodeOf(resp);
-    const json::Value *ec = resp.find("exit_code");
-    ASSERT_TRUE(ec && ec->isNumber());
-    EXPECT_EQ(static_cast<int>(ec->asNumber()), 0);
-    const std::string served = sinkContent(resp);
-    daemon.drainAndStop();
+    for (const auto &[text, heading] : reports) {
+        SCOPED_TRACE(text);
+        json::Value resp = roundTrip(sock, runRequest(text));
+        ASSERT_EQ(frameType(resp), "result") << errorCodeOf(resp);
+        const json::Value *ec = resp.find("exit_code");
+        ASSERT_TRUE(ec && ec->isNumber());
+        EXPECT_EQ(static_cast<int>(ec->asNumber()), 0);
+        const std::string served = sinkContent(resp);
 
-    json::Value doc;
-    ASSERT_TRUE(json::parse(table1, doc, nullptr));
-    driver::DriverOptions dopts;
-    dopts.resetMetrics = false;
-    driver::ExperimentDriver drv(driver::ExperimentSpec::fromJson(doc),
-                                 dopts);
-    const driver::ExperimentReport report = drv.run();
-    ASSERT_TRUE(report.ok());
-    ASSERT_EQ(report.outputs.size(), 1u);
-    EXPECT_EQ(report.outputs[0].sink.kind,
-              driver::SinkSpec::Kind::Table);
-    const std::string &direct = report.outputs[0].bytes;
-    EXPECT_EQ(direct.rfind("== Table 1: System Configuration ==", 0),
-              0u)
-        << direct;
-    EXPECT_EQ(served, direct);
+        json::Value doc;
+        ASSERT_TRUE(json::parse(text, doc, nullptr));
+        driver::DriverOptions dopts;
+        dopts.resetMetrics = false;
+        driver::ExperimentDriver drv(
+            driver::ExperimentSpec::fromJson(doc), dopts);
+        const driver::ExperimentReport report = drv.run();
+        ASSERT_TRUE(report.ok());
+        ASSERT_EQ(report.outputs.size(), 1u);
+        EXPECT_EQ(report.outputs[0].sink.kind,
+                  driver::SinkSpec::Kind::Table);
+        const std::string &direct = report.outputs[0].bytes;
+        EXPECT_EQ(direct.rfind(heading, 0), 0u) << direct;
+        EXPECT_EQ(served, direct);
+    }
+    daemon.drainAndStop();
 }
 
 TEST_F(ServeDaemonTest, WarmRepeatHitsResidentTraces)
@@ -602,6 +611,36 @@ TEST_F(ServeDaemonTest, DisconnectedClientFreesItsSlotMidRun)
     json::Value resp = roundTrip(sock, "{\"type\":\"ping\"}");
     EXPECT_EQ(frameType(resp), "pong");
     daemon.drainAndStop();
+}
+
+TEST_F(ServeDaemonTest, DrainInterruptsAnInFlightReport)
+{
+    // A trace report runs its passes under the request's token, so a
+    // drain whose grace has run out stops it like a job matrix: the
+    // client still gets its result frame, marked interrupted.
+    opts.drainGraceS = 0.0;
+    ServeDaemon daemon(opts);
+    daemon.start();
+    const int fd = rawConnect(sock);
+    ASSERT_TRUE(writeFrame(
+        fd,
+        runRequest("{\"report\": \"pc-accuracy\","
+                   " \"workloads\": [\"omnetpp\"],"
+                   " \"records\": 2000000, \"trace_cache\": false}"),
+        5000));
+    ASSERT_TRUE(eventually(
+        [&] { return daemon.activeRequests() == 1; }));
+    daemon.drainAndStop();
+
+    ReadOutcome got = readFrame(fd, kDefaultMaxFrameBytes, 30000);
+    ::close(fd);
+    ASSERT_EQ(got.kind, ReadOutcome::Kind::Frame) << got.error;
+    json::Value resp;
+    ASSERT_TRUE(json::parse(got.payload, resp, nullptr));
+    ASSERT_EQ(frameType(resp), "result") << errorCodeOf(resp);
+    EXPECT_TRUE(resp.find("interrupted")->asBool());
+    EXPECT_EQ(static_cast<int>(resp.find("exit_code")->asNumber()), 6);
+    EXPECT_EQ(sinkContent(resp).rfind("failures: 1 of 1 job", 0), 0u);
 }
 
 TEST_F(ServeDaemonTest, RequestDeadlineCancelsAsJobTimeout)

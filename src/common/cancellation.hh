@@ -8,6 +8,12 @@
  * per-job deadline, fixed when the child is made, expires that child
  * alone.
  *
+ * The attempt's token is the calling thread's *job token*
+ * (cancellation::current()): whatever a job runs on its worker
+ * thread — Systems, nested baseline and profile runs, trace
+ * generation, report passes — polls it without the token being
+ * passed through every call.
+ *
  * Polling has no side effects on simulation state, so a run with a
  * token attached but never cancelled is bit-identical to a run
  * without one (regression-gated in tests/test_system.cc).
@@ -74,6 +80,38 @@ class CancellationToken
     const CancellationToken *parent = nullptr;
     Clock::time_point deadline = kNoDeadline;
 };
+
+namespace cancellation
+{
+
+/** The calling thread's job token; nullptr outside any Scope. */
+const CancellationToken *current() noexcept;
+
+/**
+ * Makes @p token the calling thread's job token for the scope's
+ * lifetime, then restores the one it replaced. The token must
+ * outlive the scope.
+ */
+class Scope
+{
+  public:
+    explicit Scope(const CancellationToken *token) noexcept;
+    ~Scope();
+
+    Scope(const Scope &) = delete;
+    Scope &operator=(const Scope &) = delete;
+
+  private:
+    const CancellationToken *previous;
+};
+
+/**
+ * Throw Error(ErrorCode::Cancelled) once the calling thread's job
+ * token has fired: the poll of a pass that builds no System.
+ */
+void poll();
+
+} // namespace cancellation
 
 } // namespace prophet
 

@@ -102,14 +102,6 @@ class Histogram
 
     void record(std::uint64_t sample);
 
-    /** Convenience: record a duration in nanoseconds. */
-    void
-    recordDuration(std::chrono::nanoseconds d)
-    {
-        record(d.count() < 0 ? 0
-                             : static_cast<std::uint64_t>(d.count()));
-    }
-
     /** Bucket index a sample lands in. */
     static std::size_t bucketOf(std::uint64_t sample);
 

@@ -42,7 +42,6 @@ struct Collector
     std::vector<Event> events;
     std::map<std::uint32_t, std::string> threadNames;
     std::atomic<bool> on{false};
-    std::atomic<std::uint64_t> dropped{0};
     std::atomic<std::uint32_t> nextTid{0};
 
     /** One steady-clock epoch per process: every ts is relative to
@@ -125,7 +124,6 @@ reset()
     Collector &c = collector();
     std::lock_guard<std::mutex> lock(c.mu);
     c.events.clear();
-    c.dropped.store(0, std::memory_order_relaxed);
 }
 
 std::size_t
@@ -134,12 +132,6 @@ eventCount()
     Collector &c = collector();
     std::lock_guard<std::mutex> lock(c.mu);
     return c.events.size();
-}
-
-std::uint64_t
-droppedCount()
-{
-    return collector().dropped.load(std::memory_order_relaxed);
 }
 
 std::uint32_t
@@ -176,7 +168,6 @@ Span::~Span()
     Collector &c = collector();
     std::lock_guard<std::mutex> lock(c.mu);
     if (c.events.size() >= kMaxEvents) {
-        c.dropped.fetch_add(1, std::memory_order_relaxed);
         metrics::counter("span.dropped").inc();
         return;
     }

@@ -45,10 +45,6 @@ void reset();
 /** Events currently buffered (tests, overflow diagnostics). */
 std::size_t eventCount();
 
-/** Events dropped after the buffer cap (also counted in the
- *  "span.dropped" registry counter). */
-std::uint64_t droppedCount();
-
 /**
  * This thread's stable track id: assigned on first call, never
  * reused, identical across every span the thread emits.

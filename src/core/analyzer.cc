@@ -15,7 +15,7 @@ Analyzer::Analyzer(const AnalyzerConfig &config)
     : cfg(config)
 {
     prophet_assert(cfg.nBits >= 1 && cfg.nBits <= 4);
-    prophet_assert(cfg.elAcc >= 0.0 && cfg.elAcc < 1.0);
+    prophet_assert(cfg.elAcc >= 0.0 && cfg.elAcc <= 1.0);
 }
 
 bool

@@ -80,9 +80,6 @@ class MultiPathVictimBuffer
      *  §5.10. */
     std::uint64_t storageBits() const;
 
-    /** Candidate capacity per key. */
-    unsigned candidatesPerKey() const { return maxCandidates; }
-
   private:
     /**
      * One buffered target, 16 bytes. A slot is valid exactly when

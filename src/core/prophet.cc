@@ -13,20 +13,18 @@ ProphetPrefetcher::ProphetPrefetcher(const ProphetConfig &config,
     : cfg(config), bin(std::move(binary)),
       table(config.numSets, config.maxWays,
             std::make_unique<mem::SrripPolicy>()),
-      // A profiling pass or an ablation without the MVB never
-      // touches it: one set keeps its statistics readable without
-      // writing a full-size buffer.
-      mvb(!config.profilingMode && config.features.mvb
-              ? config.mvbEntries
-              : MultiPathVictimBuffer::kWays,
+      // A configuration without the MVB never touches it: one set
+      // keeps its statistics readable without writing a full-size
+      // buffer.
+      mvb(config.features.mvb ? config.mvbEntries
+                              : MultiPathVictimBuffer::kWays,
           config.mvbCandidates)
 {
     prophet_assert(cfg.degree >= 1);
 
     // Program entry: the CSR manipulation instruction configures the
     // metadata table before the first access (Prophet Resizing).
-    if (!cfg.profilingMode && cfg.features.resizing
-        && bin.csr.prophetEnabled) {
+    if (cfg.features.resizing && bin.csr.prophetEnabled) {
         if (bin.csr.temporalDisabled) {
             temporalOff = true;
             table.setAllocatedWays(0);
@@ -35,21 +33,14 @@ ProphetPrefetcher::ProphetPrefetcher(const ProphetConfig &config,
         }
     }
 
-    table.setPriorityAware(!cfg.profilingMode
-                           && cfg.features.replacement);
+    table.setPriorityAware(cfg.features.replacement);
 
-    if (!cfg.profilingMode && cfg.features.mvb) {
+    if (cfg.features.mvb) {
         table.setEvictionCallback(
             [this](const pf::MarkovTable::Entry &victim) {
                 mvb.offer(victim);
             });
     }
-}
-
-unsigned
-ProphetPrefetcher::effectiveDegree() const
-{
-    return cfg.profilingMode ? 1 : cfg.degree;
 }
 
 unsigned
@@ -86,9 +77,8 @@ ProphetPrefetcher::observe(PC pc, Addr line_addr, bool l2_hit,
     // hint to the prefetcher (Section 4.4).
     bool allow_insert = true;
     std::uint8_t priority = 0;
-    bool use_insertion = !cfg.profilingMode && cfg.features.insertion;
-    bool use_replacement =
-        !cfg.profilingMode && cfg.features.replacement;
+    bool use_insertion = cfg.features.insertion;
+    bool use_replacement = cfg.features.replacement;
     std::optional<Hint> hint;
     if (use_insertion || use_replacement)
         hint = bin.hints.lookup(pc);
@@ -114,9 +104,9 @@ ProphetPrefetcher::observe(PC pc, Addr line_addr, bool l2_hit,
     // Fine-grained aggressiveness: hinted PCs chase a chain depth
     // that scales with their priority level, so low-accuracy PCs do
     // not flood the DRAM channel with deep speculative chains.
-    bool use_mvb = !cfg.profilingMode && cfg.features.mvb;
+    bool use_mvb = cfg.features.mvb;
     Addr cur = line_addr;
-    unsigned degree = effectiveDegree();
+    unsigned degree = cfg.degree;
     if (use_insertion && hint)
         degree = std::min<unsigned>(degree, 1u + hint->priority);
     for (unsigned d = 0; d < degree; ++d) {

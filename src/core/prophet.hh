@@ -24,9 +24,9 @@
  * prefetching, SRRIP metadata replacement, fixed table); +Repla,
  * +Insert, +MVB, +Resize layer Prophet's components on one by one.
  *
- * The same class in profiling mode is the paper's "simplified
- * temporal prefetcher" (Section 3.2): insertion policy disabled,
- * fixed 1 MB table, degree 1 — the unbiased configuration Step 1
+ * The same class at degree 1 with every feature off is the paper's
+ * "simplified temporal prefetcher" (Section 3.2): no insertion
+ * policy, fixed 1 MB table — the unbiased configuration Step 1
  * profiles under, with a ProfileCollector standing in for PEBS.
  */
 
@@ -71,17 +71,11 @@ struct ProphetConfig
 
     /**
      * MVB geometry (Section 5.10 / Figure 16(c)). A prefetcher that
-     * never uses its MVB (profiling mode, or features.mvb off) builds
-     * it with one set instead.
+     * never uses its MVB (features.mvb off) builds it with one set
+     * instead.
      */
     unsigned mvbEntries = 65536;
     unsigned mvbCandidates = 1;
-
-    /**
-     * Profiling mode: the simplified temporal prefetcher of Section
-     * 3.2 (degree 1, fixed table, no insertion policy).
-     */
-    bool profilingMode = false;
 };
 
 /**
@@ -93,8 +87,8 @@ class ProphetPrefetcher : public pf::TemporalPrefetcher
     /**
      * @param config Hardware configuration.
      * @param binary The optimized binary's hints + CSR; pass a
-     *        default-constructed OptimizedBinary for profiling mode
-     *        or the all-features-off ablation baseline.
+     *        default-constructed OptimizedBinary for the profiling
+     *        pass or the all-features-off ablation baseline.
      */
     ProphetPrefetcher(const ProphetConfig &config,
                       OptimizedBinary binary = {});
@@ -112,11 +106,6 @@ class ProphetPrefetcher : public pf::TemporalPrefetcher
         const override
     {
         markov = table.stats();
-    }
-
-    std::string name() const override
-    {
-        return cfg.profilingMode ? "prophet-simplified" : "prophet";
     }
 
     /** PEBS-style counters gathered during this run. */
@@ -146,9 +135,6 @@ class ProphetPrefetcher : public pf::TemporalPrefetcher
     /** Scratch for one chain step's MVB paths, reused so the warmed
      *  observe() path never allocates. */
     std::vector<Addr> mvbPaths;
-
-    /** Effective degree (1 in profiling mode). */
-    unsigned effectiveDegree() const;
 };
 
 } // namespace prophet::core

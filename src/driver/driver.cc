@@ -72,10 +72,11 @@ recordFailure(JobResult &slot, const sim::SweepEngine::JobFailure &f,
 /**
  * RAII scope of one job attempt: a private cancellation token chained
  * to its run's token, expiring @p deadline_s after the attempt starts
- * when a per-job deadline is set (> 0). Every System the calling
- * thread builds polls it (Runner's thread-local override), so
- * shutdown, fail-fast, a serve client's disconnect, a drain and the
- * deadline all reach the attempt at its next poll. Each retry gets a
+ * when a per-job deadline is set (> 0), installed as the calling
+ * thread's job token (cancellation::Scope). Every System, trace
+ * generation and report pass the attempt runs polls it, so shutdown,
+ * fail-fast, a serve client's disconnect, a drain and the deadline
+ * all reach the attempt at its next poll. Each retry gets a
  * fresh scope: tokens cannot un-cancel, so a timed-out attempt must
  * not poison the retry.
  */
@@ -89,20 +90,16 @@ class AttemptScope
                         + std::chrono::duration_cast<
                             CancellationToken::Clock::duration>(
                             std::chrono::duration<double>(deadline_s))
-                    : CancellationToken::kNoDeadline)
+                    : CancellationToken::kNoDeadline),
+          scope(&token)
     {
-        sim::Runner::setThreadJobCancellation(&token);
     }
-
-    AttemptScope(const AttemptScope &) = delete;
-    AttemptScope &operator=(const AttemptScope &) = delete;
-
-    ~AttemptScope() { sim::Runner::setThreadJobCancellation(nullptr); }
 
     bool expired() const { return token.expired(); }
 
   private:
     CancellationToken token;
+    cancellation::Scope scope;
 };
 
 /**
@@ -369,8 +366,7 @@ ExperimentDriver::effectiveRecords() const
 bool
 ExperimentDriver::traceCacheEnabled() const
 {
-    return opts.traceCache < 0 ? spec.traceCache
-                               : opts.traceCache != 0;
+    return opts.traceCache && spec.traceCache;
 }
 
 bool
@@ -577,10 +573,8 @@ ExperimentDriver::runJobs(sim::Runner &runner, sim::SweepEngine &engine,
     std::unique_ptr<ResultJournal> journal;
     if (!opts.journalPath.empty()) {
         try {
-            ResultJournal::Options jopts;
-            jopts.fsyncEachAppend = opts.journalFsync;
             journal = std::make_unique<ResultJournal>(
-                opts.journalPath, result_hash, jopts);
+                opts.journalPath, result_hash);
         } catch (const SpecError &) {
             throw;
         } catch (const std::exception &e) {

@@ -37,7 +37,10 @@ struct DriverOptions
 
     unsigned threads = kNoThreads;      ///< kNoThreads = spec value
     std::size_t records = kNoRecords;   ///< kNoRecords = spec value
-    int traceCache = -1;                ///< -1 spec, 0 off, 1 on
+
+    /** False turns the on-disk trace cache off (--no-trace-cache);
+     *  true follows the spec's "trace_cache". */
+    bool traceCache = true;
     std::string traceCacheDir;          ///< empty = default dir
 
     /** -1 spec value, 0 fail-fast, 1 keep-going (--keep-going). */
@@ -55,9 +58,6 @@ struct DriverOptions
      * refused with SpecError.
      */
     std::string journalPath;
-
-    /** fsync the journal after every append (--no-journal-fsync). */
-    bool journalFsync = true;
 
     /**
      * Per-job deadline in seconds, below 1e9. < 0 defers to the

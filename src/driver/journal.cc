@@ -266,8 +266,8 @@ parsePayload(const char *data, std::size_t size)
 } // anonymous namespace
 
 ResultJournal::ResultJournal(std::string path,
-                             std::uint64_t spec_hash, Options opts)
-    : filePath(std::move(path)), specHash(spec_hash), options(opts)
+                             std::uint64_t spec_hash)
+    : filePath(std::move(path)), specHash(spec_hash)
 {
     load();
     file = std::fopen(filePath.c_str(), "ab");
@@ -309,8 +309,7 @@ ResultJournal::load()
         header.put64(specHash);
         std::fwrite(header.buf.data(), 1, header.buf.size(), out);
         std::fflush(out);
-        if (options.fsyncEachAppend)
-            ::fsync(fileno(out));
+        ::fsync(fileno(out));
         std::fclose(out);
     };
 
@@ -448,8 +447,7 @@ ResultJournal::append(const JournalEntry &entry)
         file = nullptr;
         return false;
     }
-    if (options.fsyncEachAppend)
-        ::fsync(fileno(file));
+    ::fsync(fileno(file));
     metrics::counter("journal.appends").inc();
     return true;
 }

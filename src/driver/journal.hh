@@ -14,9 +14,10 @@
  *    never replay into a different experiment (a mismatch refuses
  *    loudly rather than merging foreign numbers);
  *  - every entry is framed (magic, length, payload, FNV-1a-64
- *    checksum) and written with a single fwrite + flush (+ optional
- *    fsync), so a torn tail from a crashed writer is detected and
- *    truncated on the next load — everything before it replays;
+ *    checksum) and written with a single fwrite + flush + fsync, so
+ *    an entry survives power loss, not just process death, and a
+ *    torn tail from a crashed writer is detected and truncated on
+ *    the next load — everything before it replays;
  *  - a mid-file entry whose checksum fails (bit rot) is skipped and
  *    logged; intact entries after it still replay, and the skipped
  *    job simply re-simulates.
@@ -67,21 +68,6 @@ struct JournalEntry
 class ResultJournal
 {
   public:
-    struct Options
-    {
-        // Explicit ctor instead of member initializers: the
-        // enclosing class uses Options() as a default argument,
-        // which GCC rejects for NSDMIs of a nested class.
-        Options() : fsyncEachAppend(true) {}
-
-        /**
-         * fsync after every append (the default): an entry survives
-         * power loss, not just process death. --no-journal-fsync
-         * trades that for append latency on slow disks.
-         */
-        bool fsyncEachAppend;
-    };
-
     /**
      * Open @p path (creating it if absent) for an experiment whose
      * spec resultHash is @p spec_hash.
@@ -94,8 +80,7 @@ class ResultJournal
      * scratch. The fault site "journal.load" injects a per-entry
      * corruption; "journal.append" injects an append I/O failure.
      */
-    ResultJournal(std::string path, std::uint64_t spec_hash,
-                  Options opts = Options());
+    ResultJournal(std::string path, std::uint64_t spec_hash);
 
     ResultJournal(const ResultJournal &) = delete;
     ResultJournal &operator=(const ResultJournal &) = delete;
@@ -109,8 +94,8 @@ class ResultJournal
     }
 
     /**
-     * Append one entry: a single buffered write, flushed (and
-     * fsynced per Options) before returning, so a completed job is
+     * Append one entry: a single buffered write, flushed and
+     * fsynced before returning, so a completed job is
      * durable before the next one starts. Returns false on an I/O
      * failure — journaling degrades (the run continues, this job
      * just re-simulates on resume) and the failure is logged once.
@@ -128,7 +113,6 @@ class ResultJournal
   private:
     std::string filePath;
     std::uint64_t specHash;
-    Options options;
 
     std::vector<JournalEntry> loaded;
     std::size_t skippedEntries = 0;

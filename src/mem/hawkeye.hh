@@ -47,7 +47,6 @@ class HawkeyePolicy : public ReplacementPolicy
     void insert(unsigned set, unsigned way) override;
     unsigned victim(unsigned set, const unsigned *cands,
                     unsigned n) override;
-    std::string name() const override { return "Hawkeye"; }
 
     /** Provide the signature of the access about to touch/insert. */
     void setSignature(std::uint64_t sig) { currentSig = sig; }

@@ -71,9 +71,6 @@ class ReplacementPolicy
         return victim(set, candidates.begin(),
                       static_cast<unsigned>(candidates.size()));
     }
-
-    /** Policy name for reports. */
-    virtual std::string name() const = 0;
 };
 
 /** True least-recently-used via per-line timestamps. */
@@ -87,7 +84,6 @@ class LruPolicy : public ReplacementPolicy
     void insert(unsigned set, unsigned way) override;
     unsigned victim(unsigned set, const unsigned *cands,
                     unsigned n) override;
-    std::string name() const override { return "LRU"; }
 
   private:
     std::uint64_t clock = 0;
@@ -112,7 +108,6 @@ class SrripPolicy : public ReplacementPolicy
     void insert(unsigned set, unsigned way) override;
     unsigned victim(unsigned set, const unsigned *cands,
                     unsigned n) override;
-    std::string name() const override { return "SRRIP"; }
 
     /** RRPV of a line, exposed for tests. */
     std::uint8_t rrpv(unsigned set, unsigned way) const;
@@ -139,7 +134,6 @@ class BrripPolicy : public ReplacementPolicy
     void insert(unsigned set, unsigned way) override;
     unsigned victim(unsigned set, const unsigned *cands,
                     unsigned n) override;
-    std::string name() const override { return "BRRIP"; }
 
   private:
     unsigned numWays = 0;
@@ -162,7 +156,6 @@ class RandomPolicy : public ReplacementPolicy
     void insert(unsigned set, unsigned way) override;
     unsigned victim(unsigned set, const unsigned *cands,
                     unsigned n) override;
-    std::string name() const override { return "Random"; }
 
   private:
     Rng rng;

@@ -61,8 +61,6 @@ class DominoPrefetcher : public TemporalPrefetcher
         offchip = mdStats;
     }
 
-    std::string name() const override { return "domino"; }
-
     const OffchipMetadataStats &metadataStats() const
     {
         return mdStats;

@@ -37,8 +37,6 @@ class IpcpPrefetcher : public L1Prefetcher
     void observe(PC pc, Addr line_addr, bool l1_hit,
                  std::vector<Addr> &out) override;
 
-    std::string name() const override { return "ipcp"; }
-
   private:
     struct IpEntry
     {

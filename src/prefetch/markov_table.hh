@@ -99,9 +99,6 @@ class MarkovTable
     /** Currently borrowed LLC ways. */
     unsigned allocatedWays() const { return curWays; }
 
-    /** Maximum borrowed ways. */
-    unsigned maxAllocatedWays() const { return maxWays; }
-
     /** Entry capacity at the current size. */
     std::uint64_t capacityEntries() const;
 

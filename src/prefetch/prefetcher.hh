@@ -15,7 +15,6 @@
 #define PROPHET_PREFETCH_PREFETCHER_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -62,8 +61,6 @@ class L1Prefetcher
      */
     virtual void observe(PC pc, Addr line_addr, bool l1_hit,
                          std::vector<Addr> &out) = 0;
-
-    virtual std::string name() const = 0;
 };
 
 /**
@@ -115,8 +112,6 @@ class TemporalPrefetcher
         (void)markov;
         (void)offchip;
     }
-
-    virtual std::string name() const = 0;
 };
 
 } // namespace prophet::pf

@@ -68,8 +68,6 @@ class StmsPrefetcher : public TemporalPrefetcher
         offchip = mdStats;
     }
 
-    std::string name() const override { return "stms"; }
-
     /** DRAM traffic caused by metadata management. */
     const OffchipMetadataStats &metadataStats() const
     {

@@ -31,8 +31,6 @@ class StridePrefetcher : public L1Prefetcher
     void observe(PC pc, Addr line_addr, bool l1_hit,
                  std::vector<Addr> &out) override;
 
-    std::string name() const override { return "stride"; }
-
   private:
     struct Entry
     {

@@ -6,10 +6,6 @@
  * policy, Section 2.1.1); replacement is Hawkeye (original) or SRRIP;
  * table sizing uses a counting Bloom filter estimating the live
  * metadata working set (Section 2.1.3).
- *
- * Also provides the "simplified temporal prefetcher" configuration
- * Prophet profiles with (Section 3.2): fixed 1 MB table, degree 1,
- * no insertion policy.
  */
 
 #ifndef PROPHET_PREFETCH_TRIAGE_HH
@@ -70,8 +66,6 @@ class TriagePrefetcher : public TemporalPrefetcher
     {
         markov = table.stats();
     }
-
-    std::string name() const override { return "triage"; }
 
     /** Direct access for tests and the storage model. */
     MarkovTable &markovTable() { return table; }

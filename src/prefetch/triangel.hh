@@ -92,8 +92,6 @@ class TriangelPrefetcher : public TemporalPrefetcher
         markov = table.stats();
     }
 
-    std::string name() const override { return "triangel"; }
-
     MarkovTable &markovTable() { return table; }
     const MarkovTable &markovTable() const { return table; }
 

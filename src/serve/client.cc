@@ -9,7 +9,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "common/error.hh"
 #include "common/exit_codes.hh"
 #include "driver/json.hh"
 #include "driver/sink.hh"
@@ -48,19 +47,6 @@ connectTo(const std::string &path)
     return fd;
 }
 
-/** The ErrorCode spelled by @p name ("spec-parse", ...). */
-ErrorCode
-codeFromName(const std::string &name)
-{
-    for (int i = 0; i <= static_cast<int>(ErrorCode::SocketBusy);
-         ++i) {
-        const ErrorCode c = static_cast<ErrorCode>(i);
-        if (name == errorCodeName(c))
-            return c;
-    }
-    return ErrorCode::Internal;
-}
-
 /**
  * Decode a {"type":"error"} frame onto stderr + an exit code;
  * returns -1 when the frame is not an error frame.
@@ -85,13 +71,10 @@ maybeErrorFrame(const json::Value &resp)
         std::fprintf(stderr, " (retry after %.0f ms)",
                      retry->asNumber());
     std::fprintf(stderr, "\n");
-    // Prefer the server's own exit_code; fall back to mapping the
-    // code name so old daemons still produce a sane exit.
     const json::Value *ec = resp.find("exit_code");
-    if (ec && ec->isNumber())
-        return static_cast<int>(ec->asNumber());
-    return static_cast<int>(
-        exitCodeForError(codeFromName(code_name)));
+    return ec && ec->isNumber()
+        ? static_cast<int>(ec->asNumber())
+        : static_cast<int>(ExitCode::RuntimeFailure);
 }
 
 /**

@@ -165,7 +165,7 @@ ServeDaemon::start()
                     + ": " + why, std::move(ctx));
     }
 
-    if (opts.traceCache != 0) {
+    if (opts.traceCache) {
         try {
             cache = std::make_shared<trace::TraceCache>(
                 opts.traceCacheDir);
@@ -397,7 +397,7 @@ ServeDaemon::residentRunner(const driver::ExperimentSpec &spec,
         return *it->second;
     auto r =
         std::make_unique<sim::Runner>(spec.baseConfig(), records);
-    if (cache && spec.traceCache && opts.traceCache != 0)
+    if (cache && spec.traceCache)
         r->setTraceCache(cache);
     sim::Runner &ref = *r;
     runners.emplace(std::move(key), std::move(r));

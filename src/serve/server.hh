@@ -92,8 +92,9 @@ struct ServeOptions
      *  After it, their tokens fire and they unwind as interrupted. */
     double drainGraceS = 5.0;
 
-    /** On-disk trace cache: -1 spec value, 0 off, 1 on. */
-    int traceCache = -1;
+    /** False turns the on-disk trace cache off (--no-trace-cache);
+     *  true follows each request spec's "trace_cache". */
+    bool traceCache = true;
     std::string traceCacheDir; ///< empty = default dir
 };
 

@@ -448,7 +448,7 @@ buildRegistry()
              false, 0.0, 1.0},
             {"n_bits", ParamValue::Type::Number,
              "replacement priority bits (default 2, Figure 16b)",
-             true, 1.0, 8.0},
+             true, 1.0, 4.0},
             {"hint_capacity", ParamValue::Type::Number,
              "hint-buffer entries (default 128)", true, 1.0,
              65536.0},

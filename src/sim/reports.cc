@@ -6,6 +6,7 @@
 #include <set>
 #include <unordered_map>
 
+#include "common/cancellation.hh"
 #include "prefetch/triangel.hh"
 #include "sim/runner.hh"
 #include "sim/storage.hh"
@@ -46,7 +47,7 @@ void
 pollAt(std::size_t record)
 {
     if ((record & (System::kPollRecords - 1)) == 0)
-        Runner::checkThreadJobCancellation();
+        cancellation::poll();
 }
 
 /** One storage breakdown with its total, under @p title. */

@@ -10,7 +10,7 @@
  * Runner, one pass per workload through the caller's ForEachWorkload,
  * and merge by workload index, so their text is the same at any
  * thread count. A pass polls the calling thread's job token
- * (Runner::setThreadJobCancellation), so it can be cancelled mid-trace.
+ * (cancellation::poll), so it can be cancelled mid-trace.
  */
 
 #ifndef PROPHET_SIM_REPORTS_HH

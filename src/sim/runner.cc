@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 
+#include "common/cancellation.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
 #include "common/span_trace.hh"
@@ -25,14 +26,6 @@ Runner::setTraceCache(std::shared_ptr<trace::TraceCache> c)
 
 namespace
 {
-/**
- * The calling thread's job-scoped token. thread_local rather than a
- * Runner member so the driver needs no per-job plumbing through the
- * pipeline registry: whatever Systems a job builds on its worker
- * thread — including nested baseline/profile runs — poll this token.
- */
-thread_local const CancellationToken *tl_job_cancel = nullptr;
-
 /**
  * How often a caller waiting on another thread's computation checks
  * its own job token. Tokens carry no wake-up, so a fired token is
@@ -61,19 +54,6 @@ residentBytes(const trace::Trace &t)
 }
 } // anonymous namespace
 
-void
-Runner::setThreadJobCancellation(const CancellationToken *token)
-{
-    tl_job_cancel = token;
-}
-
-void
-Runner::checkThreadJobCancellation()
-{
-    if (tl_job_cancel && tl_job_cancel->cancelled())
-        throw Error(ErrorCode::Cancelled, "pass cancelled mid-trace");
-}
-
 template <typename V, typename Compute>
 std::shared_ptr<const V>
 Runner::computeOnce(OnceMap<V> &map, const std::string &key,
@@ -85,7 +65,8 @@ Runner::computeOnce(OnceMap<V> &map, const std::string &key,
     for (auto it = map.find(key); it != map.end(); it = map.find(key)) {
         if (it->second)
             return it->second;
-        if (tl_job_cancel && tl_job_cancel->cancelled()) {
+        const CancellationToken *job = cancellation::current();
+        if (job && job->cancelled()) {
             ErrorContext ctx;
             ctx.workload = key;
             throw Error(ErrorCode::Cancelled,
@@ -240,7 +221,7 @@ Runner::runConfig(const std::string &workload, const SystemConfig &cfg)
     std::shared_ptr<const Workload> entry = workloadEntry(workload);
     span::Span sim_span("simulate " + workload, "sim");
     System system(cfg, entry->generator->resolver());
-    system.setCancellation(tl_job_cancel);
+    system.setCancellation(cancellation::current());
     return system.run(entry->trace);
 }
 
@@ -290,7 +271,7 @@ Runner::profileWorkload(const std::string &workload)
         // not a sampled machine.
         cfg.sampling = SamplingConfig{};
         System system(cfg, entry->generator->resolver());
-        system.setCancellation(tl_job_cancel);
+        system.setCancellation(cancellation::current());
         system.run(entry->trace);
         prophet_assert(system.prophet() != nullptr);
         return system.prophet()->takeSnapshot();

@@ -59,10 +59,13 @@ struct Rpg2Outcome
  * workload, so results never depend on scheduling; baselines and
  * profiles depend only on traces, so waits cannot form a cycle.
  *
- * A Runner holds no cancellation token: every System it builds, and
- * every wait for another caller's computation, polls the calling
- * thread's job token (setThreadJobCancellation), so concurrent runs
- * sharing one resident Runner cancel independently.
+ * A Runner holds no cancellation token: every System it builds,
+ * every trace it generates, and every wait for another caller's
+ * computation polls the calling thread's job token
+ * (cancellation::current()), so concurrent runs sharing one resident
+ * Runner cancel independently. The driver scopes one private token
+ * around each job attempt, chained to its run's token; polling a
+ * token that never fires is bit-identical to running without one.
  */
 class Runner
 {
@@ -86,26 +89,6 @@ class Runner
 
     /** The attached trace cache (may be null). */
     trace::TraceCache *traceCache() const { return cache.get(); }
-
-    /**
-     * Per-thread job token: every System built on the *calling
-     * thread*, and every wait of that thread for a value another
-     * thread is computing, polls @p token and aborts with
-     * Error(ErrorCode::Cancelled) once it fires, until the token is
-     * cleared (nullptr). The driver scopes one private token around
-     * each job attempt, chained to its run's token, so one Runner
-     * shared by concurrent runs never mixes their cancellations.
-     * The token must outlive the scoped runs; polling a token that
-     * never fires is bit-identical to running without one.
-     */
-    static void setThreadJobCancellation(
-        const CancellationToken *token);
-
-    /**
-     * Throw Error(ErrorCode::Cancelled) once the calling thread's job
-     * token has fired: the poll of a pass that builds no System.
-     */
-    static void checkThreadJobCancellation();
 
     /**
      * The (cached) trace of a workload. The reference stays valid

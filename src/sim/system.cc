@@ -83,8 +83,11 @@ System::System(const SystemConfig &config,
         break;
       }
       case L2PfKind::Simplified: {
+        // The simplified temporal prefetcher Step 1 profiles under
+        // (Section 3.2): Prophet at degree 1 with every component off.
         core::ProphetConfig pc = cfg.prophet;
-        pc.profilingMode = true;
+        pc.degree = 1;
+        pc.features = core::ProphetFeatures{false, false, false, false};
         auto p = std::make_unique<core::ProphetPrefetcher>(pc);
         prophetPf = p.get();
         l2Pf = std::move(p);

@@ -57,7 +57,11 @@ class TraceGenerator
     /** Workload name as used in the paper's figures. */
     virtual std::string name() const = 0;
 
-    /** Generate the full access trace. Deterministic per instance. */
+    /**
+     * Generate the full access trace. Deterministic per instance.
+     * Polls the calling thread's job token (cancellation::poll), so
+     * it throws Error(ErrorCode::Cancelled) once that token fires.
+     */
     virtual Trace generate() = 0;
 
     /**

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/cancellation.hh"
 #include "common/log.hh"
 
 namespace prophet::workloads::graph
@@ -107,6 +108,9 @@ GraphWorkload::generate()
     trace::Trace t;
     t.reserve(budget + 64);
     while (t.size() < budget) {
+        // One poll per traversal: under a million records on the
+        // largest scaled graph.
+        cancellation::poll();
         switch (kernel) {
           case GraphKernel::Bfs:
             emitBfs(t);

@@ -1,5 +1,6 @@
 #include "workloads/pattern_lib.hh"
 
+#include "common/cancellation.hh"
 #include "common/log.hh"
 
 namespace prophet::workloads
@@ -7,6 +8,9 @@ namespace prophet::workloads
 
 namespace
 {
+
+/** Records between two cancellation polls of a generation. */
+constexpr std::size_t kPollRecords = 4096;
 
 /** Build a single-cycle successor permutation over n nodes. */
 std::vector<std::uint32_t>
@@ -264,7 +268,12 @@ CompositeGenerator::generate()
 
     trace::Trace t;
     t.reserve(totalRecords + 8);
+    std::size_t next_poll = 0;
     while (t.size() < totalRecords) {
+        if (t.size() >= next_poll) {
+            cancellation::poll();
+            next_poll = t.size() + kPollRecords;
+        }
         double draw = rng.uniform() * total_w;
         std::size_t pick = 0;
         for (; pick + 1 < streams.size(); ++pick) {

@@ -30,6 +30,12 @@ TEST(Analyzer, Eq1ThresholdConfigurable)
     Analyzer a(cfg);
     EXPECT_FALSE(a.insertionAllowed(0.2));
     EXPECT_TRUE(a.insertionAllowed(0.25));
+
+    // The top of the spec's [0, 1] range: only perfect PCs insert.
+    cfg.elAcc = 1.0;
+    Analyzer strict(cfg);
+    EXPECT_FALSE(strict.insertionAllowed(0.99));
+    EXPECT_TRUE(strict.insertionAllowed(1.0));
 }
 
 TEST(Analyzer, Eq2PriorityLevelsN2)

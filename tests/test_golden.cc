@@ -154,7 +154,7 @@ TEST_P(Golden, SinksMatchExpectedFiles)
     opts.threads = kThreads;
     if (!c.full)
         opts.records = kFastRecords;
-    opts.traceCache = 0;
+    opts.traceCache = false;
 
     // Exactly the sinks the spec would have written (the default
     // table when it names none), one expected file per kind.

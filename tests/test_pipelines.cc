@@ -282,6 +282,11 @@ TEST(PipelineRegistry, ValidateRejectsBadParams)
     negative.params["el_acc"] = ParamValue::makeNumber(-0.1);
     bad(negative, "el_acc");
 
+    // The Analyzer's 2^n priority levels stop at n = 4.
+    PipelineInstance wide_priority("prophet");
+    wide_priority.params["n_bits"] = ParamValue::makeNumber(5);
+    bad(wide_priority, "must be in [1, 4]");
+
     PipelineInstance bad_policy("triage");
     bad_policy.params["meta_replacement"] =
         ParamValue::makeString("fifo");

@@ -3,7 +3,7 @@
  * Unit tests for the Prophet prefetcher (Figure 4): hint-driven
  * insertion filtering, priority recording, CSR-driven resizing and
  * the disable path, MVB integration, feature-flag ablation, and the
- * simplified profiling mode (Section 3.2).
+ * simplified configuration Step 1 profiles under (Section 3.2).
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +24,17 @@ tinyConfig()
     cfg.maxWays = 4;
     cfg.mvbEntries = 256;
     cfg.mvbCandidates = 1;
+    return cfg;
+}
+
+/** The simplified temporal prefetcher of Section 3.2, as System
+ *  builds it for the profiling pass: degree 1, every feature off. */
+ProphetConfig
+simplifiedConfig()
+{
+    ProphetConfig cfg = tinyConfig();
+    cfg.degree = 1;
+    cfg.features = ProphetFeatures{false, false, false, false};
     return cfg;
 }
 
@@ -218,11 +229,9 @@ TEST(Prophet, UnusedMvbTakesOneSet)
                   .storageBits(),
               256u * 43);
 
-    ProphetConfig profiling = tinyConfig();
-    profiling.profilingMode = true;
     ProphetConfig no_mvb = tinyConfig();
     no_mvb.features.mvb = false;
-    for (const ProphetConfig &cfg : {profiling, no_mvb}) {
+    for (const ProphetConfig &cfg : {simplifiedConfig(), no_mvb}) {
         ProphetPrefetcher pf(cfg, binaryWith({{1, Hint{true, 3}}}));
         for (Addr a : {1, 2, 3, 1, 2, 4, 2})
             observe(pf, 1, a);
@@ -232,13 +241,11 @@ TEST(Prophet, UnusedMvbTakesOneSet)
     }
 }
 
-TEST(Prophet, ProfilingModeIsSimplified)
+TEST(Prophet, ProfilingConfigIsSimplified)
 {
     // Section 3.2: degree 1, fixed table, no insertion policy.
-    ProphetConfig cfg = tinyConfig();
-    cfg.profilingMode = true;
+    ProphetConfig cfg = simplifiedConfig();
     ProphetPrefetcher pf(cfg, OptimizedBinary{});
-    EXPECT_EQ(pf.name(), "prophet-simplified");
     EXPECT_EQ(pf.metadataWays(), cfg.maxWays);
     for (Addr a : {10, 20, 30, 40, 50})
         observe(pf, 1, a);
@@ -248,9 +255,7 @@ TEST(Prophet, ProfilingModeIsSimplified)
 
 TEST(Prophet, ProfilingCollectsCounters)
 {
-    ProphetConfig cfg = tinyConfig();
-    cfg.profilingMode = true;
-    ProphetPrefetcher pf(cfg, OptimizedBinary{});
+    ProphetPrefetcher pf(simplifiedConfig(), OptimizedBinary{});
     observe(pf, 1, 100, false); // L2 miss recorded
     observe(pf, 1, 200, false);
     pf.notifyIssued(1);

@@ -182,10 +182,14 @@ TEST(SpanVictim, SrripSingleCandidateSpan)
 
 TEST(Factory, KnownNames)
 {
-    EXPECT_EQ(makePolicy("lru")->name(), "LRU");
-    EXPECT_EQ(makePolicy("srrip")->name(), "SRRIP");
-    EXPECT_EQ(makePolicy("brrip")->name(), "BRRIP");
-    EXPECT_EQ(makePolicy("random")->name(), "Random");
+    EXPECT_NE(dynamic_cast<LruPolicy *>(makePolicy("lru").get()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<SrripPolicy *>(makePolicy("srrip").get()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<BrripPolicy *>(makePolicy("brrip").get()),
+              nullptr);
+    EXPECT_NE(dynamic_cast<RandomPolicy *>(makePolicy("random").get()),
+              nullptr);
 }
 
 /**

@@ -7,8 +7,9 @@
  * These are the repository's end-to-end checks that the paper's
  * headline orderings emerge from the mechanisms. The next group pins
  * the Runner's compute-once caches under concurrency: shared work
- * runs once, and cancellation of either the computing or a waiting
- * caller behaves. The last pins trace residency: a trace costs 20
+ * runs once, cancellation of either the computing or a waiting
+ * caller behaves, and a cancelled trace generation leaves nothing
+ * resident. The last pins trace residency: a trace costs 20
  * bytes a record, and releasing it frees it without disturbing a run
  * that still uses it.
  */
@@ -21,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cancellation.hh"
 #include "common/error.hh"
 #include "common/metrics.hh"
 #include "sim/runner.hh"
@@ -201,13 +203,12 @@ startComputingBaseline(Runner &r, const CancellationToken *token,
 {
     const std::uint64_t generated = counterValue("runner.trace_generated");
     std::thread computer([&r, token, &done, &error] {
-        Runner::setThreadJobCancellation(token);
+        cancellation::Scope job(token);
         try {
             r.baseline("mcf");
         } catch (...) {
             error = std::current_exception();
         }
-        Runner::setThreadJobCancellation(nullptr);
         done.store(true);
     });
     while (counterValue("runner.trace_generated") == generated
@@ -278,9 +279,8 @@ TEST(RunnerSharing, WaiterComputesWhenTheComputerIsCancelled)
     RunStats waited;
     std::thread waiter([&] {
         CancellationToken own; // never fires
-        Runner::setThreadJobCancellation(&own);
+        cancellation::Scope job(&own);
         waited = r.baseline("mcf");
-        Runner::setThreadJobCancellation(nullptr);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     computer_token.cancel();
@@ -312,14 +312,13 @@ TEST(RunnerSharing, CancelledWaiterStopsBeforeTheComputerFinishes)
     std::exception_ptr waiter_error;
     bool computer_done_at_cancel = true;
     std::thread waiter([&] {
-        Runner::setThreadJobCancellation(&waiter_token);
+        cancellation::Scope job(&waiter_token);
         try {
             r.baseline("mcf");
         } catch (...) {
             waiter_error = std::current_exception();
             computer_done_at_cancel = computer_done.load();
         }
-        Runner::setThreadJobCancellation(nullptr);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     waiter_token.cancel();
@@ -350,14 +349,13 @@ TEST(RunnerSharing, ExpiredWaiterStopsBeforeTheComputerFinishes)
     std::exception_ptr waiter_error;
     bool computer_done_at_expiry = true;
     std::thread waiter([&] {
-        Runner::setThreadJobCancellation(&waiter_token);
+        cancellation::Scope job(&waiter_token);
         try {
             r.baseline("mcf");
         } catch (...) {
             waiter_error = std::current_exception();
             computer_done_at_expiry = computer_done.load();
         }
-        Runner::setThreadJobCancellation(nullptr);
     });
     waiter.join();
     expectCancelled(waiter_error);
@@ -368,6 +366,35 @@ TEST(RunnerSharing, ExpiredWaiterStopsBeforeTheComputerFinishes)
     computer.join();
     EXPECT_FALSE(computer_error);
     EXPECT_GT(r.baseline("mcf").ipc, 0.0);
+}
+
+TEST(RunnerSharing, CancelledGenerationLeavesNothingResident)
+{
+    // Both generators poll the job token: the pattern generator every
+    // 4096 records, the graph generator once per traversal.
+    for (const char *workload : {"mcf", "bfs_80000_8"}) {
+        SCOPED_TRACE(workload);
+        Runner r(SystemConfig::table1(), 2'000'000);
+        const std::uint64_t generated =
+            counterValue("runner.trace_generated");
+        CancellationToken fired;
+        fired.cancel();
+        std::exception_ptr error;
+        try {
+            cancellation::Scope job(&fired);
+            r.traceFor(workload);
+        } catch (...) {
+            error = std::current_exception();
+        }
+        expectCancelled(error);
+        EXPECT_TRUE(r.residentTraces().empty());
+        EXPECT_EQ(counterValue("runner.trace_generated"), generated);
+
+        // Without the token, the next call generates the trace.
+        EXPECT_GE(r.traceFor(workload).size(), 2'000'000u);
+        EXPECT_EQ(r.residentTraces().size(), 1u);
+        EXPECT_EQ(counterValue("runner.trace_generated"), generated + 1);
+    }
 }
 
 // ---------------------------------------------------------------

@@ -224,7 +224,7 @@ class ServeDaemonTest : public ::testing::Test
         sock = freshSocketPath();
         opts.socketPath = sock;
         opts.workers = 2;
-        opts.traceCache = 0; // resident Runner reuse is the cache
+        opts.traceCache = false; // resident Runner reuse is the cache
     }
 
     void TearDown() override { fault::reset(); }
@@ -285,7 +285,7 @@ TEST_F(ServeDaemonTest, RunMatchesStandaloneDriverByteForByte)
     ASSERT_TRUE(json::parse(specText(), doc, nullptr));
     driver::DriverOptions dopts;
     dopts.resetMetrics = false; // keep serve.* deltas readable
-    dopts.traceCache = 0;
+    dopts.traceCache = false;
     driver::ExperimentDriver drv(
         driver::ExperimentSpec::fromJson(doc), dopts);
     const driver::ExperimentReport report = drv.run();
@@ -461,11 +461,12 @@ TEST_F(ServeDaemonTest, UnbuildableMvbIsRejectedAndDaemonServesOn)
 {
     ServeDaemon daemon(opts);
     daemon.start();
-    // An MVB geometry the buffer cannot build would abort the whole
-    // daemon on the buffer's constructor assertion; spec validation
-    // turns it into an error frame for this request alone.
-    for (const char *param :
-         {"\"mvb_candidates\": 8", "\"mvb_entries\": 1000"}) {
+    // An MVB geometry the buffer cannot build, or priority bits the
+    // Analyzer cannot hold, would abort the whole daemon on a
+    // constructor assertion; spec validation turns it into an error
+    // frame for this request alone.
+    for (const char *param : {"\"mvb_candidates\": 8",
+                              "\"mvb_entries\": 1000", "\"n_bits\": 5"}) {
         SCOPED_TRACE(param);
         json::Value resp = roundTrip(
             sock,

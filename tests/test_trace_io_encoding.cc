@@ -1,7 +1,6 @@
 /**
  * @file
- * Unit tests for trace serialization, its XXH64 array checksums, and
- * the Section 4.4 hint encodings.
+ * Unit tests for trace serialization and its XXH64 array checksums.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +11,6 @@
 
 #include "common/checksum.hh"
 #include "common/fault_injection.hh"
-#include "core/hint_encoding.hh"
 #include "trace/trace_io.hh"
 
 namespace prophet
@@ -225,63 +223,6 @@ TEST(TraceIo, LoadMissingFileFails)
 {
     trace::Trace loaded;
     EXPECT_FALSE(trace::loadBinary(loaded, "/nonexistent/x.bin"));
-}
-
-TEST(HintEncoding, PackUnpackRoundTrip)
-{
-    using namespace core;
-    for (unsigned allow = 0; allow <= 1; ++allow) {
-        for (std::uint8_t prio = 0; prio < 4; ++prio) {
-            Hint h{allow != 0, prio};
-            Hint back = unpackHint(packHint(h));
-            EXPECT_EQ(back.allowInsert, h.allowInsert);
-            EXPECT_EQ(back.priority, h.priority);
-        }
-    }
-}
-
-TEST(HintEncoding, ThreeBitsSuffice)
-{
-    // Section 4.4: each memory instruction needs at most 3 bits.
-    using namespace core;
-    EXPECT_LE(packHint(Hint{true, 3}), 0x7);
-}
-
-TEST(HintEncoding, InstructionRoundTrip)
-{
-    using namespace core;
-    HintBuffer hb(128);
-    hb.install(0x400, Hint{true, 2});
-    hb.install(0x404, Hint{false, 0});
-    auto insts = encodeHintInstructions(hb);
-    EXPECT_EQ(insts.size(), 2u);
-    auto back = decodeHintInstructions(insts);
-    auto h = back.lookup(0x400);
-    ASSERT_TRUE(h.has_value());
-    EXPECT_TRUE(h->allowInsert);
-    EXPECT_EQ(h->priority, 2);
-    auto h2 = back.lookup(0x404);
-    ASSERT_TRUE(h2.has_value());
-    EXPECT_FALSE(h2->allowInsert);
-}
-
-TEST(HintEncoding, FootprintMatchesPaperClaims)
-{
-    using namespace core;
-    // Hint instructions: 128 once-executed instructions, ~0.19 KB
-    // buffer.
-    auto fi = footprintOf(HintEncoding::HintInstructions, 128);
-    EXPECT_EQ(fi.staticInstructions, 128u);
-    EXPECT_EQ(fi.dynamicInstructions, 128u);
-    EXPECT_NEAR(static_cast<double>(fi.bufferBits) / 8.0 / 1024.0,
-                0.19, 0.15);
-
-    // Prefix scheme: no instructions, 3*128/64 = 6 bytes of I-cache
-    // footprint (Section 4.4), no buffer.
-    auto fp = footprintOf(HintEncoding::InstructionPrefix, 128);
-    EXPECT_EQ(fp.staticInstructions, 0u);
-    EXPECT_EQ(fp.codeBytes, 6u);
-    EXPECT_EQ(fp.bufferBits, 0u);
 }
 
 } // anonymous namespace

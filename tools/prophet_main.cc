@@ -1,23 +1,19 @@
 /**
  * @file
  * The `prophet` CLI: the single entry point the declarative
- * experiment layer exposes.
- *
- *   prophet run <spec.json> [--threads N] [--records N]
- *               [--no-trace-cache] [--trace-cache-dir DIR]
- *               [--keep-going | --fail-fast] [--progress]
- *               [--metrics-out FILE] [--trace-out FILE]
- *   prophet list-workloads
- *   prophet list-pipelines
- *   prophet trace-cache warm <spec.json | workload...>
- *               [--threads N] [--records N] [--trace-cache-dir DIR]
- *   prophet trace-cache clear [--trace-cache-dir DIR]
- *   prophet trace-cache stats [--trace-cache-dir DIR]
+ * experiment layer exposes. usage() prints every command's synopsis:
+ * run, list-workloads, list-pipelines, trace-cache warm|clear|stats,
+ * serve, and client run|health|ping.
  *
  * `run` executes a spec and writes its sinks; CLI flags
  * override the spec's thread/record counts and failure policy.
  * `trace-cache warm` pre-generates the traces a spec (or an explicit
- * workload list) needs, so subsequent runs skip generation.
+ * workload list) needs, so subsequent runs skip generation. `serve`
+ * keeps traces resident for `client run` requests.
+ *
+ * Every value flag takes `--flag VALUE` or `--flag=VALUE`. Each
+ * command takes only the flags kCommandFlags lists for it; any other
+ * flag exits 2 instead of being silently ignored.
  *
  * Exit codes (documented in --help): 0 success, 2 usage error,
  * 3 spec parse/validation error, 4 runtime failure (a job or sink
@@ -97,8 +93,7 @@ usage()
         "      [--no-trace-cache] [--trace-cache-dir DIR]\n"
         "      [--keep-going | --fail-fast] [--progress]\n"
         "      [--metrics-out FILE] [--trace-out FILE]\n"
-        "      [--resume | --journal FILE] [--no-journal-fsync]\n"
-        "      [--job-timeout SEC]\n"
+        "      [--resume | --journal FILE] [--job-timeout SEC]\n"
         "  list-workloads\n"
         "  list-pipelines\n"
         "  trace-cache warm <spec.json | workload...>\n"
@@ -112,8 +107,11 @@ usage()
         "      [--no-trace-cache] [--trace-cache-dir DIR]\n"
         "  client run <spec.json> --socket PATH [--deadline SEC]\n"
         "      [--timeout-ms N]\n"
-        "  client health --socket PATH\n"
-        "  client ping --socket PATH\n"
+        "  client health --socket PATH [--timeout-ms N]\n"
+        "  client ping --socket PATH [--timeout-ms N]\n"
+        "\n"
+        "Every value flag takes --flag VALUE or --flag=VALUE. A flag\n"
+        "its command does not take exits 2.\n"
         "\n"
         "observability (run; all off by default — outputs are\n"
         "byte-identical to a run without these flags):\n"
@@ -139,10 +137,6 @@ usage()
         "                 from it on restart (output is\n"
         "                 byte-identical to an uninterrupted run)\n"
         "  --journal FILE same, with an explicit journal path\n"
-        "  --no-journal-fsync\n"
-        "                 skip the per-append fsync (faster; an\n"
-        "                 entry then survives process death, not\n"
-        "                 power loss)\n"
         "  --job-timeout SEC\n"
         "                 per-job deadline: an overrunning job is\n"
         "                 cancelled at its next poll, recorded as a\n"
@@ -174,27 +168,56 @@ struct Flags
     /** --resume: journal at <spec>.journal (path known post-parse). */
     bool resume = false;
 
-    // serve / client flags (ignored by the other subcommands).
+    // serve / client flags (refused by the other commands).
     std::string socketPath;          ///< --socket (required)
     serve::ServeOptions serveOpts;   ///< daemon knobs
     double clientDeadlineS = 0.0;    ///< client run --deadline
     int clientTimeoutMs = -1;        ///< client --timeout-ms
 };
 
+/**
+ * The flags each command takes, keyed by its full name ("run",
+ * "trace-cache warm", "client ping", ...). A flag its command does
+ * not take is refused: it would otherwise be parsed and ignored.
+ */
+const std::map<std::string, std::vector<std::string>> kCommandFlags = {
+    {"run",
+     {"--threads", "--records", "--no-trace-cache", "--trace-cache-dir",
+      "--keep-going", "--fail-fast", "--progress", "--metrics-out",
+      "--trace-out", "--resume", "--journal", "--job-timeout"}},
+    {"list-workloads", {}},
+    {"list-pipelines", {}},
+    {"trace-cache warm", {"--threads", "--records", "--trace-cache-dir"}},
+    {"trace-cache clear", {"--trace-cache-dir"}},
+    {"trace-cache stats", {"--trace-cache-dir"}},
+    {"serve",
+     {"--socket", "--serve-workers", "--max-queue", "--max-frame-bytes",
+      "--io-timeout-ms", "--request-deadline", "--max-rss-mb",
+      "--drain-grace", "--no-trace-cache", "--trace-cache-dir"}},
+    {"client run", {"--socket", "--deadline", "--timeout-ms"}},
+    {"client health", {"--socket", "--timeout-ms"}},
+    {"client ping", {"--socket", "--timeout-ms"}},
+};
+
 bool
-parseFlags(int argc, char **argv, int from, Flags &flags)
+takesFlag(const std::vector<std::string> &flags, const std::string &flag)
 {
-    auto needValue = [&](int &i, const char *flag) -> const char * {
-        if (i + 1 >= argc) {
-            std::fprintf(stderr, "prophet: %s needs a value\n", flag);
-            return nullptr;
-        }
-        return argv[++i];
-    };
+    return std::find(flags.begin(), flags.end(), flag) != flags.end();
+}
+
+/**
+ * Parse argv[from..] for @p command (a kCommandFlags key). A value
+ * flag takes `--flag VALUE` or `--flag=VALUE`; a switch takes no
+ * value.
+ */
+bool
+parseFlags(int argc, char **argv, int from, const std::string &command,
+           Flags &flags)
+{
     // Bounds match the spec parser's: an overflowing value must be
     // an error, not a silent truncation — and never a value that
     // collides with the kNoThreads/kNoRecords "unset" sentinels.
-    auto parseCount = [](const char *flag, const char *s,
+    auto parseCount = [](const std::string &flag, const char *s,
                          unsigned long long max,
                          unsigned long long &out) {
         char *end = nullptr;
@@ -202,169 +225,142 @@ parseFlags(int argc, char **argv, int from, Flags &flags)
         unsigned long long v = std::strtoull(s, &end, 10);
         if (end == s || *end != '\0' || errno == ERANGE || v > max) {
             std::fprintf(stderr,
-                         "prophet: %s: invalid value '%s'\n", flag,
-                         s);
+                         "prophet: %s: invalid value '%s'\n",
+                         flag.c_str(), s);
             return false;
         }
         out = v;
         return true;
     };
+    auto parseSeconds = [](const std::string &flag, const char *s,
+                           double &out) {
+        char *end = nullptr;
+        errno = 0;
+        double secs = std::strtod(s, &end);
+        if (end == s || *end != '\0' || errno == ERANGE
+            || !(secs >= 0.0) || secs >= 1e9) {
+            std::fprintf(stderr,
+                         "prophet: %s: invalid value '%s'\n",
+                         flag.c_str(), s);
+            return false;
+        }
+        out = secs;
+        return true;
+    };
     constexpr unsigned long long kMaxThreads = 65536;
     constexpr unsigned long long kMaxRecords =
         1ull << 53; // the spec schema's bound
+    const std::vector<std::string> &accepted = kCommandFlags.at(command);
     for (int i = from; i < argc; ++i) {
-        unsigned long long v = 0;
-        if (!std::strcmp(argv[i], "--threads")) {
-            const char *s = needValue(i, "--threads");
-            if (!s || !parseCount("--threads", s, kMaxThreads, v))
-                return false;
-            flags.opts.threads = static_cast<unsigned>(v);
-        } else if (!std::strncmp(argv[i], "--threads=", 10)) {
-            if (!parseCount("--threads", argv[i] + 10, kMaxThreads,
-                            v))
-                return false;
-            flags.opts.threads = static_cast<unsigned>(v);
-        } else if (!std::strcmp(argv[i], "--records")) {
-            const char *s = needValue(i, "--records");
-            if (!s || !parseCount("--records", s, kMaxRecords, v))
-                return false;
-            flags.opts.records = static_cast<std::size_t>(v);
-        } else if (!std::strncmp(argv[i], "--records=", 10)) {
-            if (!parseCount("--records", argv[i] + 10, kMaxRecords,
-                            v))
-                return false;
-            flags.opts.records = static_cast<std::size_t>(v);
-        } else if (!std::strcmp(argv[i], "--no-trace-cache")) {
-            flags.opts.traceCache = 0;
-        } else if (!std::strcmp(argv[i], "--keep-going")) {
+        if (argv[i][0] != '-') {
+            flags.positional.push_back(argv[i]);
+            continue;
+        }
+        std::string flag = argv[i];
+        const char *s = nullptr;
+        if (const char *eq = std::strchr(argv[i], '=')) {
+            flag.resize(static_cast<std::size_t>(eq - argv[i]));
+            s = eq + 1;
+        }
+        if (!takesFlag(accepted, flag)) {
+            const bool known = std::any_of(
+                kCommandFlags.begin(), kCommandFlags.end(),
+                [&](const auto &c) { return takesFlag(c.second, flag); });
+            if (known)
+                std::fprintf(stderr, "prophet %s: %s has no effect here\n",
+                             command.c_str(), flag.c_str());
+            else
+                std::fprintf(stderr, "prophet: unknown flag %s\n",
+                             flag.c_str());
+            return false;
+        }
+
+        bool is_switch = true;
+        if (flag == "--no-trace-cache")
+            flags.opts.traceCache = false;
+        else if (flag == "--keep-going")
             flags.opts.keepGoing = 1;
-        } else if (!std::strcmp(argv[i], "--fail-fast")) {
+        else if (flag == "--fail-fast")
             flags.opts.keepGoing = 0;
-        } else if (!std::strcmp(argv[i], "--trace-cache-dir")) {
-            const char *s = needValue(i, "--trace-cache-dir");
-            if (!s)
-                return false;
-            flags.opts.traceCacheDir = s;
-        } else if (!std::strncmp(argv[i], "--trace-cache-dir=", 18)) {
-            flags.opts.traceCacheDir = argv[i] + 18;
-        } else if (!std::strcmp(argv[i], "--progress")) {
+        else if (flag == "--progress")
             flags.opts.progress = true;
-        } else if (!std::strcmp(argv[i], "--metrics-out")) {
-            const char *s = needValue(i, "--metrics-out");
-            if (!s)
-                return false;
-            flags.opts.metricsOut = s;
-        } else if (!std::strncmp(argv[i], "--metrics-out=", 14)) {
-            flags.opts.metricsOut = argv[i] + 14;
-        } else if (!std::strcmp(argv[i], "--trace-out")) {
-            const char *s = needValue(i, "--trace-out");
-            if (!s)
-                return false;
-            flags.opts.traceOut = s;
-        } else if (!std::strncmp(argv[i], "--trace-out=", 12)) {
-            flags.opts.traceOut = argv[i] + 12;
-        } else if (!std::strcmp(argv[i], "--resume")) {
+        else if (flag == "--resume")
             flags.resume = true;
-        } else if (!std::strcmp(argv[i], "--journal")) {
-            const char *s = needValue(i, "--journal");
-            if (!s)
-                return false;
-            flags.opts.journalPath = s;
-        } else if (!std::strncmp(argv[i], "--journal=", 10)) {
-            flags.opts.journalPath = argv[i] + 10;
-        } else if (!std::strcmp(argv[i], "--no-journal-fsync")) {
-            flags.opts.journalFsync = false;
-        } else if (!std::strcmp(argv[i], "--job-timeout")
-                   || !std::strncmp(argv[i], "--job-timeout=", 14)) {
-            const char *s = argv[i][13] == '='
-                ? argv[i] + 14
-                : needValue(i, "--job-timeout");
-            if (!s)
-                return false;
-            char *end = nullptr;
-            errno = 0;
-            double secs = std::strtod(s, &end);
-            if (end == s || *end != '\0' || errno == ERANGE
-                || !(secs >= 0.0) || secs >= 1e9) {
-                std::fprintf(
-                    stderr,
-                    "prophet: --job-timeout: invalid value '%s'\n",
-                    s);
+        else
+            is_switch = false;
+        if (is_switch) {
+            if (s) {
+                std::fprintf(stderr, "prophet: %s takes no value\n",
+                             flag.c_str());
                 return false;
             }
-            flags.opts.jobTimeoutS = secs;
-        } else if (!std::strcmp(argv[i], "--socket")) {
-            const char *s = needValue(i, "--socket");
-            if (!s)
+            continue;
+        }
+
+        if (!s) {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "prophet: %s needs a value\n",
+                             flag.c_str());
                 return false;
+            }
+            s = argv[++i];
+        }
+        unsigned long long v = 0;
+        if (flag == "--threads") {
+            if (!parseCount(flag, s, kMaxThreads, v))
+                return false;
+            flags.opts.threads = static_cast<unsigned>(v);
+        } else if (flag == "--records") {
+            if (!parseCount(flag, s, kMaxRecords, v))
+                return false;
+            flags.opts.records = static_cast<std::size_t>(v);
+        } else if (flag == "--trace-cache-dir") {
+            flags.opts.traceCacheDir = s;
+        } else if (flag == "--metrics-out") {
+            flags.opts.metricsOut = s;
+        } else if (flag == "--trace-out") {
+            flags.opts.traceOut = s;
+        } else if (flag == "--journal") {
+            flags.opts.journalPath = s;
+        } else if (flag == "--job-timeout") {
+            if (!parseSeconds(flag, s, flags.opts.jobTimeoutS))
+                return false;
+        } else if (flag == "--socket") {
             flags.socketPath = s;
-        } else if (!std::strncmp(argv[i], "--socket=", 9)) {
-            flags.socketPath = argv[i] + 9;
-        } else if (!std::strcmp(argv[i], "--serve-workers")) {
-            const char *s = needValue(i, "--serve-workers");
-            if (!s || !parseCount("--serve-workers", s, 1024, v))
+        } else if (flag == "--serve-workers") {
+            if (!parseCount(flag, s, 1024, v))
                 return false;
             flags.serveOpts.workers = static_cast<unsigned>(v);
-        } else if (!std::strcmp(argv[i], "--max-queue")) {
-            const char *s = needValue(i, "--max-queue");
-            if (!s || !parseCount("--max-queue", s, 1 << 20, v))
+        } else if (flag == "--max-queue") {
+            if (!parseCount(flag, s, 1 << 20, v))
                 return false;
-            flags.serveOpts.maxQueue =
-                static_cast<std::size_t>(v);
-        } else if (!std::strcmp(argv[i], "--max-frame-bytes")) {
-            const char *s = needValue(i, "--max-frame-bytes");
-            if (!s
-                || !parseCount("--max-frame-bytes", s,
-                               ~std::uint32_t{0}, v))
+            flags.serveOpts.maxQueue = static_cast<std::size_t>(v);
+        } else if (flag == "--max-frame-bytes") {
+            if (!parseCount(flag, s, ~std::uint32_t{0}, v))
                 return false;
             flags.serveOpts.maxFrameBytes =
                 static_cast<std::uint32_t>(v);
-        } else if (!std::strcmp(argv[i], "--io-timeout-ms")) {
-            const char *s = needValue(i, "--io-timeout-ms");
-            if (!s
-                || !parseCount("--io-timeout-ms", s, 86400000, v))
+        } else if (flag == "--io-timeout-ms") {
+            if (!parseCount(flag, s, 86400000, v))
                 return false;
             flags.serveOpts.ioTimeoutMs = static_cast<int>(v);
-        } else if (!std::strcmp(argv[i], "--max-rss-mb")) {
-            const char *s = needValue(i, "--max-rss-mb");
-            if (!s || !parseCount("--max-rss-mb", s, 1 << 24, v))
+        } else if (flag == "--max-rss-mb") {
+            if (!parseCount(flag, s, 1 << 24, v))
                 return false;
-            flags.serveOpts.maxRssMb =
-                static_cast<std::size_t>(v);
-        } else if (!std::strcmp(argv[i], "--timeout-ms")) {
-            const char *s = needValue(i, "--timeout-ms");
-            if (!s || !parseCount("--timeout-ms", s, 86400000, v))
+            flags.serveOpts.maxRssMb = static_cast<std::size_t>(v);
+        } else if (flag == "--timeout-ms") {
+            if (!parseCount(flag, s, 86400000, v))
                 return false;
             flags.clientTimeoutMs = static_cast<int>(v);
-        } else if (!std::strcmp(argv[i], "--request-deadline")
-                   || !std::strcmp(argv[i], "--drain-grace")
-                   || !std::strcmp(argv[i], "--deadline")) {
-            const std::string flag = argv[i];
-            const char *s = needValue(i, flag.c_str());
-            if (!s)
+        } else if (flag == "--request-deadline") {
+            if (!parseSeconds(flag, s, flags.serveOpts.requestDeadlineS))
                 return false;
-            char *end = nullptr;
-            errno = 0;
-            double secs = std::strtod(s, &end);
-            if (end == s || *end != '\0' || errno == ERANGE
-                || !(secs >= 0.0) || secs >= 1e9) {
-                std::fprintf(stderr,
-                             "prophet: %s: invalid value '%s'\n",
-                             flag.c_str(), s);
+        } else if (flag == "--drain-grace") {
+            if (!parseSeconds(flag, s, flags.serveOpts.drainGraceS))
                 return false;
-            }
-            if (flag == "--request-deadline")
-                flags.serveOpts.requestDeadlineS = secs;
-            else if (flag == "--drain-grace")
-                flags.serveOpts.drainGraceS = secs;
-            else
-                flags.clientDeadlineS = secs;
-        } else if (argv[i][0] == '-') {
-            std::fprintf(stderr, "prophet: unknown flag %s\n",
-                         argv[i]);
-            return false;
-        } else {
-            flags.positional.push_back(argv[i]);
+        } else if (flag == "--deadline") {
+            if (!parseSeconds(flag, s, flags.clientDeadlineS))
+                return false;
         }
     }
     return true;
@@ -497,13 +493,8 @@ cmdClient(const std::string &sub, const Flags &flags)
                                 flags.clientDeadlineS,
                                 flags.clientTimeoutMs);
     }
-    if (sub == "health" || sub == "ping")
-        return serve::clientSimpleRequest(flags.socketPath, sub,
-                                          flags.clientTimeoutMs);
-    std::fprintf(stderr,
-                 "prophet client: unknown subcommand \"%s\"\n",
-                 sub.c_str());
-    return static_cast<int>(ExitCode::Usage);
+    return serve::clientSimpleRequest(flags.socketPath, sub,
+                                      flags.clientTimeoutMs);
 }
 
 int
@@ -694,52 +685,39 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
     std::string cmd = argv[1];
-
-    if (cmd == "run") {
-        Flags flags;
-        if (!parseFlags(argc, argv, 2, flags))
-            return 2;
-        return cmdRun(flags);
-    }
-    if (cmd == "serve") {
-        Flags flags;
-        if (!parseFlags(argc, argv, 2, flags))
-            return 2;
-        return cmdServe(flags);
-    }
-    if (cmd == "client") {
-        if (argc < 3)
-            return usage();
-        std::string sub = argv[2];
-        Flags flags;
-        if (!parseFlags(argc, argv, 3, flags))
-            return 2;
-        return cmdClient(sub, flags);
-    }
-    if (cmd == "list-workloads")
-        return cmdListWorkloads();
-    if (cmd == "list-pipelines")
-        return cmdListPipelines();
-    if (cmd == "trace-cache") {
-        if (argc < 3)
-            return usage();
-        std::string sub = argv[2];
-        Flags flags;
-        if (!parseFlags(argc, argv, 3, flags))
-            return 2;
-        if (sub == "warm")
-            return cmdTraceCacheWarm(flags);
-        if (sub == "clear")
-            return cmdTraceCacheClear(flags);
-        if (sub == "stats")
-            return cmdTraceCacheStats(flags);
-        return usage();
-    }
     if (cmd == "--help" || cmd == "-h" || cmd == "help") {
         usage();
         return 0;
     }
-    std::fprintf(stderr, "prophet: unknown command \"%s\"\n",
-                 cmd.c_str());
-    return usage();
+    int from = 2;
+    if (cmd == "client" || cmd == "trace-cache") {
+        if (argc < 3)
+            return usage();
+        cmd += std::string(" ") + argv[2];
+        from = 3;
+    }
+    if (!kCommandFlags.count(cmd)) {
+        std::fprintf(stderr, "prophet: unknown command \"%s\"\n",
+                     cmd.c_str());
+        return usage();
+    }
+    Flags flags;
+    if (!parseFlags(argc, argv, from, cmd, flags))
+        return 2;
+
+    if (cmd == "run")
+        return cmdRun(flags);
+    if (cmd == "serve")
+        return cmdServe(flags);
+    if (cmd == "list-workloads")
+        return cmdListWorkloads();
+    if (cmd == "list-pipelines")
+        return cmdListPipelines();
+    if (cmd == "trace-cache warm")
+        return cmdTraceCacheWarm(flags);
+    if (cmd == "trace-cache clear")
+        return cmdTraceCacheClear(flags);
+    if (cmd == "trace-cache stats")
+        return cmdTraceCacheStats(flags);
+    return cmdClient(argv[2], flags); // client run|health|ping
 }

@@ -13,16 +13,8 @@ errorCodeName(ErrorCode code)
         return "spec-parse";
       case ErrorCode::PipelineConfig:
         return "pipeline-config";
-      case ErrorCode::WorkloadUnknown:
-        return "workload-unknown";
       case ErrorCode::TraceIo:
         return "trace-io";
-      case ErrorCode::TraceCorrupt:
-        return "trace-corrupt";
-      case ErrorCode::CacheLock:
-        return "cache-lock";
-      case ErrorCode::DiskFull:
-        return "disk-full";
       case ErrorCode::Cancelled:
         return "cancelled";
       case ErrorCode::FaultInjected:
@@ -48,7 +40,6 @@ isTransientError(ErrorCode code)
 {
     switch (code) {
       case ErrorCode::TraceIo:
-      case ErrorCode::CacheLock:
       // A deadline expiry says nothing permanent about the job: the
       // machine may simply have been overloaded, so a fresh attempt
       // (with a fresh deadline) is worth one retry.

@@ -7,10 +7,9 @@
  * spec path, file offset — whatever the failure site knows), and the
  * human-readable message runtime_error already provides. The
  * taxonomy exists so layers can make policy decisions without string
- * matching: the experiment driver retries transient I/O classes and
- * isolates permanent ones per job, the trace cache distinguishes
- * corruption (quarantine) from absence (regenerate), and the CLI
- * maps codes onto documented exit codes.
+ * matching: the experiment driver retries transient classes and
+ * isolates permanent ones per job, and the CLI and the serve daemon
+ * map codes onto documented exit codes.
  *
  * SpecError (driver/spec.hh) and PipelineError (sim/pipelines.hh)
  * derive from Error, so one `catch (const prophet::Error &)` at the
@@ -33,11 +32,7 @@ enum class ErrorCode : std::uint8_t
     Ok = 0,          ///< not an error (sentinel for JobResult)
     SpecParse,       ///< malformed or invalid experiment spec
     PipelineConfig,  ///< unknown pipeline / parameter / value
-    WorkloadUnknown, ///< unregistered workload name
     TraceIo,         ///< read/write/open failure on trace data
-    TraceCorrupt,    ///< checksum or structural mismatch on a trace
-    CacheLock,       ///< trace-cache lock could not be taken
-    DiskFull,        ///< no space left while writing (ENOSPC class)
     Cancelled,       ///< cooperative cancellation observed
     FaultInjected,   ///< a deterministic test fault fired
     Internal,        ///< everything else (wrapped std::exception)
@@ -48,13 +43,13 @@ enum class ErrorCode : std::uint8_t
     SocketBusy,      ///< a live daemon already owns the socket path
 };
 
-/** Canonical lower-case name of a code ("trace-corrupt", ...). */
+/** Canonical lower-case name of a code ("spec-parse", ...). */
 const char *errorCodeName(ErrorCode code);
 
 /**
  * Whether a failure class is worth retrying: the condition can
- * plausibly clear on its own (an I/O hiccup, a lock held briefly by
- * another process). Corruption, bad specs, cancellation, and
+ * plausibly clear on its own (an I/O hiccup, a blown deadline on an
+ * overloaded machine). Corruption, bad specs, cancellation, and
  * injected permanent faults are not transient — retrying them burns
  * time to reach the same failure.
  */
@@ -77,8 +72,8 @@ struct ErrorContext
 
 /**
  * The structured exception. what() is pre-rendered at construction:
- * "trace-corrupt: pc[] checksum mismatch [workload=mcf,
- * path=.../mcf-r0.g1.ptrc, offset=16]".
+ * "job-timeout: job exceeded its 0.001s deadline and was cancelled
+ * by the watchdog [workload=mcf, pipeline=triangel]".
  */
 class Error : public std::runtime_error
 {

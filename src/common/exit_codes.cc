@@ -17,7 +17,7 @@ exitCodesHelp()
            "     the rest completed)\n"
            "  6  interrupted (SIGINT/SIGTERM drained the run or\n"
            "     daemon; completed jobs were journaled when\n"
-           "     --resume/--journal was on)\n";
+           "     --resume was on)\n";
 }
 
 ExitCode

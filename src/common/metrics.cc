@@ -93,7 +93,7 @@ Counter &
 Registry::counter(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(mu);
-    if (gauges.count(name) || histograms.count(name))
+    if (histograms.count(name))
         prophet_panic("metric name registered as a different kind");
     auto it = counters.find(name);
     if (it == counters.end())
@@ -102,23 +102,11 @@ Registry::counter(const std::string &name)
     return *it->second;
 }
 
-Gauge &
-Registry::gauge(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mu);
-    if (counters.count(name) || histograms.count(name))
-        prophet_panic("metric name registered as a different kind");
-    auto it = gauges.find(name);
-    if (it == gauges.end())
-        it = gauges.emplace(name, std::make_unique<Gauge>()).first;
-    return *it->second;
-}
-
 Histogram &
 Registry::histogram(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(mu);
-    if (counters.count(name) || gauges.count(name))
+    if (counters.count(name))
         prophet_panic("metric name registered as a different kind");
     auto it = histograms.find(name);
     if (it == histograms.end())
@@ -135,9 +123,6 @@ Registry::snapshot() const
     s.counters.reserve(counters.size());
     for (const auto &[name, c] : counters)
         s.counters.push_back({name, c->value()});
-    s.gauges.reserve(gauges.size());
-    for (const auto &[name, g] : gauges)
-        s.gauges.push_back({name, g->value()});
     s.histograms.reserve(histograms.size());
     for (const auto &[name, h] : histograms)
         s.histograms.push_back({name, h->snapshot()});
@@ -150,8 +135,6 @@ Registry::resetValues()
     std::lock_guard<std::mutex> lock(mu);
     for (auto &[name, c] : counters)
         c->reset();
-    for (auto &[name, g] : gauges)
-        g->reset();
     for (auto &[name, h] : histograms)
         h->reset();
 }

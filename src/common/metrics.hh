@@ -1,9 +1,9 @@
 /**
  * @file
- * Process-wide metrics registry: named counters, gauges, and
- * log2-bucketed histograms every subsystem reports through — the
- * trace cache, sweep workers, fault-injection harness, driver phases,
- * and simulation runs all land here, and `prophet run --metrics-out`
+ * Process-wide metrics registry: named counters and log2-bucketed
+ * histograms every subsystem reports through — the trace cache,
+ * sweep workers, fault-injection harness, driver phases, and
+ * simulation runs all land here, and `prophet run --metrics-out`
  * snapshots the lot into one machine-readable document.
  *
  * Design constraints, in order:
@@ -58,34 +58,6 @@ class Counter
     /** Own cache line: counters from different subsystems are
      *  registered together but bumped from different threads. */
     alignas(64) std::atomic<std::uint64_t> val{0};
-};
-
-/** A point-in-time signed level (queue depth, reserved ways, ...). */
-class Gauge
-{
-  public:
-    void
-    set(std::int64_t v)
-    {
-        val.store(v, std::memory_order_relaxed);
-    }
-
-    void
-    add(std::int64_t delta)
-    {
-        val.fetch_add(delta, std::memory_order_relaxed);
-    }
-
-    std::int64_t
-    value() const
-    {
-        return val.load(std::memory_order_relaxed);
-    }
-
-    void reset() { val.store(0, std::memory_order_relaxed); }
-
-  private:
-    alignas(64) std::atomic<std::int64_t> val{0};
 };
 
 /**
@@ -165,12 +137,6 @@ struct CounterSample
     std::uint64_t value = 0;
 };
 
-struct GaugeSample
-{
-    std::string name;
-    std::int64_t value = 0;
-};
-
 struct HistogramSample
 {
     std::string name;
@@ -181,7 +147,6 @@ struct HistogramSample
 struct RegistrySnapshot
 {
     std::vector<CounterSample> counters;
-    std::vector<GaugeSample> gauges;
     std::vector<HistogramSample> histograms;
 };
 
@@ -198,7 +163,6 @@ class Registry
     static Registry &instance();
 
     Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
     Histogram &histogram(const std::string &name);
 
     /** Deterministic (name-ordered) copy of every value. */
@@ -218,7 +182,6 @@ class Registry
     mutable std::mutex mu;
     // Node-based maps: instrument addresses are stable forever.
     std::map<std::string, std::unique_ptr<Counter>> counters;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges;
     std::map<std::string, std::unique_ptr<Histogram>> histograms;
 };
 
@@ -227,12 +190,6 @@ inline Counter &
 counter(const std::string &name)
 {
     return Registry::instance().counter(name);
-}
-
-inline Gauge &
-gauge(const std::string &name)
-{
-    return Registry::instance().gauge(name);
 }
 
 inline Histogram &

@@ -41,7 +41,7 @@ struct DriverOptions
     /** False turns the on-disk trace cache off (--no-trace-cache);
      *  true follows the spec's "trace_cache". */
     bool traceCache = true;
-    std::string traceCacheDir;          ///< empty = default dir
+    std::string traceCacheDir; ///< empty = ./.prophet-trace-cache
 
     /** -1 spec value, 0 fail-fast, 1 keep-going (--keep-going). */
     int keepGoing = -1;
@@ -50,7 +50,8 @@ struct DriverOptions
     // these set produces byte-identical outputs to one without) ----
 
     /**
-     * Path of the result journal (--resume / --journal). Empty
+     * Path of the result journal: `prophet run --resume` sets
+     * <spec>.journal, and a library caller may name any file. Empty
      * disables checkpointing. When set, entries valid at startup
      * replay — those jobs are not re-simulated — and every completed
      * job is appended, so an interrupted run continues where it

@@ -2,8 +2,9 @@
  * @file
  * Minimal self-contained JSON: a value model, a recursive-descent
  * parser, and a deterministic writer. Experiment specs, the JSON
- * stats sink, and the trace-cache manifest all go through this, so
- * the repo stays free of external dependencies.
+ * stats sink, the --metrics-out report and the serve daemon's
+ * request and response frames all go through this, so the repo
+ * stays free of external dependencies.
  *
  * Deviations from strict JSON, both for human-edited spec files:
  *  - `//` line comments are skipped as whitespace;

@@ -127,14 +127,6 @@ buildMetricsReport(const ExperimentReport &report)
         counters.set(c.name, json::Value(c.value));
     root.set("counters", std::move(counters));
 
-    if (!snap.gauges.empty()) {
-        json::Value gauges = json::Value::makeObject();
-        for (const auto &g : snap.gauges)
-            gauges.set(g.name,
-                       json::Value(static_cast<double>(g.value)));
-        root.set("gauges", std::move(gauges));
-    }
-
     json::Value histograms = json::Value::makeObject();
     for (const auto &h : snap.histograms)
         histograms.set(h.name, histogramToJson(h.snap));

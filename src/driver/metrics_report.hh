@@ -21,7 +21,7 @@ namespace prophet::driver
 
 /**
  * Build the metrics document for a finished run: run metadata from
- * @p report, every counter/gauge/histogram in the metrics registry,
+ * @p report, every counter and histogram in the metrics registry,
  * a "phases" summary derived from the "phase.*_ns" histograms, the
  * sweep-worker utilization, peak RSS, and one "jobs" entry per
  * JobResult.

@@ -155,8 +155,7 @@ clientSimpleRequest(const std::string &socket_path,
 
 int
 clientRun(const std::string &socket_path,
-          const std::string &spec_path, double deadline_s,
-          int timeout_ms)
+          const std::string &spec_path, int timeout_ms)
 {
     std::ifstream in(spec_path, std::ios::binary);
     if (!in) {
@@ -170,8 +169,6 @@ clientRun(const std::string &socket_path,
     json::Value req = json::Value::makeObject();
     req.set("type", json::Value("run"));
     req.set("spec_text", json::Value(text.str()));
-    if (deadline_s > 0.0)
-        req.set("deadline_s", json::Value(deadline_s));
 
     std::string response, err;
     if (!clientExchange(socket_path, json::dump(req), response, err,

@@ -26,14 +26,13 @@ namespace prophet::serve
  * or the client-side mapping for connect/protocol failures). A sink
  * entry it cannot write — an unknown type, missing content, a
  * json/csv entry without a path, or a failed file write — turns a
- * successful verdict into 4.
- * @p deadline_s > 0 asks the daemon for a per-job deadline;
+ * successful verdict into 4. The spec text travels verbatim, so its
+ * own "deadline_s" and "keep_going" are the run's.
  * @p timeout_ms bounds the wait for the response frame (< 0 waits
  * forever — simulations can be slow).
  */
 int clientRun(const std::string &socket_path,
-              const std::string &spec_path, double deadline_s,
-              int timeout_ms);
+              const std::string &spec_path, int timeout_ms);
 
 /**
  * Send a bare {"type": @p type} request ("ping", "health") and

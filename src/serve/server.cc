@@ -18,6 +18,7 @@
 #include "common/log.hh"
 #include "common/metrics.hh"
 #include "driver/driver.hh"
+#include "driver/json.hh"
 
 namespace prophet::serve
 {
@@ -176,7 +177,6 @@ ServeDaemon::start()
     }
 
     startTime = std::chrono::steady_clock::now();
-    metrics::gauge("serve.active").set(0);
     stopping = false;
     acceptor = std::thread([this] { acceptLoop(); });
     for (unsigned i = 0; i < opts.workers; ++i)
@@ -269,8 +269,6 @@ ServeDaemon::acceptLoop()
 void
 ServeDaemon::workerLoop()
 {
-    static metrics::Gauge &active_gauge =
-        metrics::gauge("serve.active");
     for (;;) {
         auto req = std::make_shared<ActiveRequest>();
         {
@@ -287,7 +285,6 @@ ServeDaemon::workerLoop()
             queue.pop_front();
             active.push_back(req);
         }
-        active_gauge.add(1);
         handleConnection(*req);
         {
             std::lock_guard<std::mutex> lock(mu);
@@ -295,7 +292,6 @@ ServeDaemon::workerLoop()
                 std::remove(active.begin(), active.end(), req),
                 active.end());
         }
-        active_gauge.add(-1);
         ::close(req->fd);
     }
 }
@@ -311,6 +307,12 @@ ServeDaemon::handleConnection(ActiveRequest &self)
     static metrics::Histogram &latency =
         metrics::histogram("serve.request_ns");
 
+    auto protocolError = [&](const std::string &message) {
+        protocol_errors.inc();
+        writeFrame(fd, errorFramePayload(ErrorCode::ProtocolError, message),
+                   opts.ioTimeoutMs);
+    };
+
     ReadOutcome frame =
         readFrame(fd, opts.maxFrameBytes, opts.ioTimeoutMs);
     switch (frame.kind) {
@@ -323,11 +325,7 @@ ServeDaemon::handleConnection(ActiveRequest &self)
         protocol_errors.inc();
         return; // nothing sane to answer on a dead/stalled stream
       case ReadOutcome::Kind::Malformed:
-        protocol_errors.inc();
-        writeFrame(fd,
-                   errorFramePayload(ErrorCode::ProtocolError,
-                                     frame.error),
-                   opts.ioTimeoutMs);
+        protocolError(frame.error);
         return;
     }
 
@@ -337,19 +335,23 @@ ServeDaemon::handleConnection(ActiveRequest &self)
     json::Value req;
     std::string perr;
     if (!json::parse(frame.payload, req, &perr) || !req.isObject()) {
-        protocol_errors.inc();
-        writeFrame(fd,
-                   errorFramePayload(ErrorCode::ProtocolError,
-                                     "request is not a JSON object"
-                                     + (perr.empty()
-                                            ? std::string()
-                                            : ": " + perr)),
-                   opts.ioTimeoutMs);
+        protocolError("request is not a JSON object"
+                      + (perr.empty() ? std::string() : ": " + perr));
         return;
     }
     const json::Value *type = req.find("type");
     const std::string kind =
         type && type->isString() ? type->asString() : "";
+    // A request is its type and, for a run, the spec's text: a run
+    // takes every setting from its spec, so any other key is refused
+    // rather than read as a second way to set one.
+    for (const auto &member : req.asObject())
+        if (member.first != "type"
+            && !(kind == "run" && member.first == "spec_text")) {
+            protocolError("request key \"" + member.first
+                          + "\" is not accepted");
+            return;
+        }
 
     if (kind == "ping") {
         json::Value o = json::Value::makeObject();
@@ -362,15 +364,14 @@ ServeDaemon::handleConnection(ActiveRequest &self)
         return;
     }
     if (kind == "run") {
-        handleRun(self, req);
+        const json::Value *spec_text = req.find("spec_text");
+        if (!spec_text || !spec_text->isString())
+            protocolError("run request carries no \"spec_text\" string");
+        else
+            handleRun(self, spec_text->asString());
         return;
     }
-    protocol_errors.inc();
-    writeFrame(fd,
-               errorFramePayload(ErrorCode::ProtocolError,
-                                 "unknown request type \"" + kind
-                                     + "\""),
-               opts.ioTimeoutMs);
+    protocolError("unknown request type \"" + kind + "\"");
 }
 
 sim::Runner &
@@ -406,45 +407,16 @@ ServeDaemon::residentRunner(const driver::ExperimentSpec &spec,
 }
 
 void
-ServeDaemon::handleRun(ActiveRequest &self, const json::Value &req)
+ServeDaemon::handleRun(ActiveRequest &self, const std::string &spec_text)
 {
     const int fd = self.fd;
     driver::ExperimentSpec spec;
-    driver::DriverOptions dopts;
-    dopts.resetMetrics = false;
-    dopts.shutdown = &self.token;
-    if (opts.requestDeadlineS > 0.0)
-        dopts.jobTimeoutS = opts.requestDeadlineS;
     try {
-        const json::Value *spec_text = req.find("spec_text");
-        const json::Value *spec_obj = req.find("spec");
-        if (spec_text && spec_text->isString()) {
-            json::Value doc;
-            std::string perr;
-            if (!json::parse(spec_text->asString(), doc, &perr))
-                throw driver::SpecError("spec_text: " + perr);
-            spec = driver::ExperimentSpec::fromJson(doc);
-        } else if (spec_obj && spec_obj->isObject()) {
-            spec = driver::ExperimentSpec::fromJson(*spec_obj);
-        } else {
-            writeFrame(fd,
-                       errorFramePayload(
-                           ErrorCode::ProtocolError,
-                           "run request carries neither \"spec\" "
-                           "nor \"spec_text\""),
-                       opts.ioTimeoutMs);
-            return;
-        }
-        // The range the spec's "deadline_s" and the CLI's deadline
-        // flags accept: past 1e9 s the deadline overflows the clock.
-        if (const json::Value *d = req.find("deadline_s")) {
-            if (!d->isNumber() || !(d->asNumber() > 0.0)
-                || !(d->asNumber() < 1e9))
-                throw driver::SpecError(
-                    "\"deadline_s\" must be a positive number of "
-                    "seconds below 1e9");
-            dopts.jobTimeoutS = d->asNumber();
-        }
+        json::Value doc;
+        std::string perr;
+        if (!json::parse(spec_text, doc, &perr))
+            throw driver::SpecError("spec_text: " + perr);
+        spec = driver::ExperimentSpec::fromJson(doc);
     } catch (const Error &e) {
         // Containment: a bad spec answers THIS client and changes
         // nothing else — same taxonomy code the CLI would exit with.
@@ -453,11 +425,14 @@ ServeDaemon::handleRun(ActiveRequest &self, const json::Value &req)
         return;
     }
 
+    // The daemon runs the spec as written: its records, threads,
+    // "keep_going" and "deadline_s" apply unchanged.
+    driver::DriverOptions dopts;
+    dopts.resetMetrics = false;
+    dopts.shutdown = &self.token;
     {
         std::lock_guard<std::mutex> lock(mu);
-        dopts.runner = &residentRunner(
-            spec, spec.records); // records: spec value (no CLI
-                                 // override path in serve)
+        dopts.runner = &residentRunner(spec, spec.records);
     }
 
     driver::ExperimentDriver drv(spec, dopts);
@@ -550,11 +525,6 @@ ServeDaemon::handleHealth(int fd)
     for (const auto &c : snap.counters)
         counters.set(c.name, json::Value(c.value));
     o.set("counters", std::move(counters));
-    json::Value gauges = json::Value::makeObject();
-    for (const auto &g : snap.gauges)
-        gauges.set(g.name,
-                   json::Value(static_cast<double>(g.value)));
-    o.set("gauges", std::move(gauges));
     json::Value hists = json::Value::makeObject();
     for (const auto &h : snap.histograms) {
         json::Value hv = json::Value::makeObject();

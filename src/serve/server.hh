@@ -10,9 +10,9 @@
  *    with a structured server-overloaded error frame carrying a
  *    retry_after_ms hint — never a silent hang;
  *  - fault containment: a malformed frame, oversize payload, unknown
- *    spec field, or mid-run job failure produces a structured error
- *    or partial-result frame for THAT request while the daemon keeps
- *    serving everyone else;
+ *    request key or spec field, or mid-run job failure produces a
+ *    structured error or partial-result frame for THAT request while
+ *    the daemon keeps serving everyone else;
  *  - each request runs with its own token, and every job it starts
  *    polls a private token chained to it, so a deadline, disconnect
  *    or drain cancels one request's jobs on a shared resident runner
@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "common/cancellation.hh"
-#include "driver/json.hh"
 #include "driver/spec.hh"
 #include "serve/protocol.hh"
 #include "sim/runner.hh"
@@ -56,7 +55,11 @@
 namespace prophet::serve
 {
 
-/** Daemon configuration (CLI flags map 1:1 onto these). */
+/**
+ * Daemon configuration: deployment settings, which `prophet serve`'s
+ * flags map 1:1 onto. A run's own settings (records, threads,
+ * "keep_going", "deadline_s") come from its request's spec alone.
+ */
 struct ServeOptions
 {
     std::string socketPath;
@@ -75,12 +78,6 @@ struct ServeOptions
     int ioTimeoutMs = 10000;
 
     /**
-     * Default per-job deadline (seconds) applied to requests that do
-     * not carry their own "deadline_s"; 0 = none.
-     */
-    double requestDeadlineS = 0.0;
-
-    /**
      * RSS high-watermark in MiB; above it the monitor evicts idle
      * resident traces, least recently used first across every
      * configuration (counted in "serve.evictions" and
@@ -95,7 +92,7 @@ struct ServeOptions
     /** False turns the on-disk trace cache off (--no-trace-cache);
      *  true follows each request spec's "trace_cache". */
     bool traceCache = true;
-    std::string traceCacheDir; ///< empty = default dir
+    std::string traceCacheDir; ///< empty = ./.prophet-trace-cache
 };
 
 /**
@@ -150,7 +147,7 @@ class ServeDaemon
     void workerLoop();
     void monitorLoop();
     void handleConnection(ActiveRequest &self);
-    void handleRun(ActiveRequest &self, const driver::json::Value &req);
+    void handleRun(ActiveRequest &self, const std::string &spec_text);
     void handleHealth(int fd);
 
     /**

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "common/intmath.hh"
 #include "core/analyzer.hh"
 #include "core/learner.hh"
 #include "core/prophet.hh"
@@ -256,8 +255,8 @@ void
 validateProphet(const PipelineInstance &p)
 {
     // Numeric ranges/integrality are enforced generically from the
-    // ParamInfo constraints; only the cross-parameter, enum and
-    // MVB-geometry checks live here.
+    // ParamInfo constraints; only the cross-parameter and enum checks
+    // live here.
     if (const auto *features = p.stringList("features")) {
         const auto &known = prophetFeatureNames();
         for (const auto &f : *features)
@@ -271,17 +270,6 @@ validateProphet(const PipelineInstance &p)
             }
     }
     requireOneOf(p, "binary", "profile", {"profile", "none"});
-    // The MVB's sets hold kWays targets each and their count is a
-    // power of two (the range check has already bounded it).
-    constexpr unsigned ways = core::MultiPathVictimBuffer::kWays;
-    const auto entries = static_cast<std::uint64_t>(
-        p.number("mvb_entries", core::ProphetConfig{}.mvbEntries));
-    if (entries % ways != 0 || !isPowerOf2(entries / ways))
-        throw PipelineError(
-            "parameter \"mvb_entries\" of pipeline \"" + p.name
-            + "\" must be " + std::to_string(ways)
-            + " times a power of two (the Multi-path Victim Buffer's "
-              "sets hold " + std::to_string(ways) + " targets)");
     if (const auto *learn = p.stringList("learn")) {
         if (p.string("binary", "profile") == "none")
             throw PipelineError(
@@ -309,14 +297,8 @@ runProphetPipeline(Runner &runner, const PipelineInstance &p,
     acfg.elAcc = p.number("el_acc", acfg.elAcc);
     acfg.nBits =
         static_cast<unsigned>(p.number("n_bits", acfg.nBits));
-    acfg.hintCapacity = static_cast<unsigned>(
-        p.number("hint_capacity", acfg.hintCapacity));
 
     core::ProphetConfig pcfg;
-    pcfg.degree =
-        static_cast<unsigned>(p.number("degree", pcfg.degree));
-    pcfg.mvbEntries = static_cast<unsigned>(
-        p.number("mvb_entries", pcfg.mvbEntries));
     pcfg.mvbCandidates = static_cast<unsigned>(
         p.number("mvb_candidates", pcfg.mvbCandidates));
     if (const auto *features = p.stringList("features")) {
@@ -449,15 +431,6 @@ buildRegistry()
             {"n_bits", ParamValue::Type::Number,
              "replacement priority bits (default 2, Figure 16b)",
              true, 1.0, 4.0},
-            {"hint_capacity", ParamValue::Type::Number,
-             "hint-buffer entries (default 128)", true, 1.0,
-             65536.0},
-            {"degree", ParamValue::Type::Number,
-             "chained prefetch degree (default 4)", true, 1.0, 64.0},
-            {"mvb_entries", ParamValue::Type::Number,
-             "Multi-path Victim Buffer entries: 4 times a power of "
-             "two (default 65536)",
-             true, core::MultiPathVictimBuffer::kWays, 16777216.0},
             {"mvb_candidates", ParamValue::Type::Number,
              "MVB candidates per entry (default 1, Figure 16c)",
              true, 1.0, core::MultiPathVictimBuffer::kWays},

@@ -221,7 +221,6 @@ Runner::runConfig(const std::string &workload, const SystemConfig &cfg)
     std::shared_ptr<const Workload> entry = workloadEntry(workload);
     span::Span sim_span("simulate " + workload, "sim");
     System system(cfg, entry->generator->resolver());
-    system.setCancellation(cancellation::current());
     return system.run(entry->trace);
 }
 
@@ -271,7 +270,6 @@ Runner::profileWorkload(const std::string &workload)
         // not a sampled machine.
         cfg.sampling = SamplingConfig{};
         System system(cfg, entry->generator->resolver());
-        system.setCancellation(cancellation::current());
         system.run(entry->trace);
         prophet_assert(system.prophet() != nullptr);
         return system.prophet()->takeSnapshot();

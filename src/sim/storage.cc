@@ -6,7 +6,7 @@ namespace prophet::sim
 std::vector<StorageItem>
 prophetStorage(std::uint64_t max_table_entries,
                unsigned replacement_bits, unsigned hint_entries,
-               std::uint64_t mvb_entries)
+               std::uint64_t victim_entries)
 {
     std::vector<StorageItem> items;
     // Prophet replacement state: priority bits per metadata entry
@@ -20,7 +20,7 @@ prophetStorage(std::uint64_t max_table_entries,
                          * (16 + 3)});
     // Multi-path Victim Buffer: 43 bits per entry — 31-bit target,
     // 10-bit tag, 2-bit counter (344 KB at 65,536 entries).
-    items.push_back({"Multi-path Victim Buffer", mvb_entries * 43});
+    items.push_back({"Multi-path Victim Buffer", victim_entries * 43});
     return items;
 }
 

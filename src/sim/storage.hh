@@ -28,7 +28,7 @@ struct StorageItem
 std::vector<StorageItem> prophetStorage(
     std::uint64_t max_table_entries = 196608,
     unsigned replacement_bits = 2, unsigned hint_entries = 128,
-    std::uint64_t mvb_entries = 65536);
+    std::uint64_t victim_entries = 65536);
 
 /** Storage breakdown of Triage's management structures. */
 std::vector<StorageItem> triageStorage();

@@ -106,12 +106,6 @@ System::System(const SystemConfig &config,
 System::~System() = default;
 
 void
-System::setCancellation(const CancellationToken *token)
-{
-    cancelToken = token;
-}
-
-void
 System::syncPartition()
 {
     unsigned ways = l2Pf ? l2Pf->metadataWays() : 0;
@@ -135,6 +129,7 @@ System::beginRun(std::size_t expected_records)
     usefulCount = 0;
     lateCount = 0;
     issuedBeforeMark = 0;
+    cancelToken = cancellation::current();
     // Skip the re-reserve when the map still has its capacity from a
     // previous beginRun (only a finish() hands the storage away).
     if (pcMissCounts.capacity() < 1024)

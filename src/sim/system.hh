@@ -127,16 +127,6 @@ class System
     ~System();
 
     /**
-     * Poll @p token every kPollRecords records and abort the run with
-     * Error(ErrorCode::Cancelled) once it reports cancelled; the
-     * error's offset is the record index of the poll. Polling is
-     * side-effect free, so an attached-but-never-cancelled token
-     * leaves every statistic bit-identical to a run without one
-     * (regression-gated in tests/test_system.cc). nullptr detaches.
-     */
-    void setCancellation(const CancellationToken *token);
-
-    /**
      * Simulate the trace and return the statistics. With
      * cfg.sampling.enabled and a window that fits the trace, the
      * trace is run in sampled fast mode (functional warmup + detailed
@@ -207,7 +197,16 @@ class System
      */
     bool syncActive = false;
 
-    /** Cancellation token to poll; nullptr = no polling at all. */
+    /**
+     * The calling thread's job token (cancellation::current()) when
+     * the run began; nullptr = no polling at all. The run polls it
+     * every kPollRecords records and aborts with
+     * Error(ErrorCode::Cancelled) once it reports cancelled, the
+     * error's offset being the record index of the poll. Polling is
+     * side-effect free, so a token that never fires leaves every
+     * statistic bit-identical to a run without one (regression-gated
+     * in tests/test_system.cc).
+     */
     const CancellationToken *cancelToken = nullptr;
 
     std::size_t recordIndex = 0;

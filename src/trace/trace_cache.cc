@@ -223,17 +223,8 @@ bumpCountersInDir(const std::string &dir,
 } // anonymous namespace
 
 TraceCache::TraceCache(std::string dir)
-    : dirPath(dir.empty() ? defaultDir() : std::move(dir))
+    : dirPath(dir.empty() ? ".prophet-trace-cache" : std::move(dir))
 {}
-
-std::string
-TraceCache::defaultDir()
-{
-    if (const char *env = std::getenv("PROPHET_TRACE_CACHE"))
-        if (*env)
-            return env;
-    return ".prophet-trace-cache";
-}
 
 std::string
 TraceCache::path(const std::string &workload,

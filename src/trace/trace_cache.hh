@@ -92,12 +92,9 @@ class TraceCache
 
     /**
      * @param dir Cache directory; created on first store. Empty
-     *        selects defaultDir().
+     *        selects ".prophet-trace-cache" in the working directory.
      */
     explicit TraceCache(std::string dir = "");
-
-    /** $PROPHET_TRACE_CACHE when set, else ".prophet-trace-cache". */
-    static std::string defaultDir();
 
     /** The cache directory. */
     const std::string &dir() const { return dirPath; }

@@ -2,7 +2,9 @@
 # End-to-end checks of the `prophet` CLI's flag handling and exit
 # codes: every value flag takes `--flag VALUE` and `--flag=VALUE`, a
 # switch takes no value, a flag its command does not take exits 2
-# naming the flag, and a spec that passes validation never aborts.
+# naming the flag, so does a positional argument given to a command
+# that takes none, `trace-cache warm` reads spec files only, and a
+# spec that passes validation never aborts.
 #
 # Usage: tests/test_cli.sh PATH/TO/prophet   (ctest runs it as test_cli)
 
@@ -47,10 +49,41 @@ expect 2 "prophet list-workloads: --threads has no effect here" \
     list-workloads --threads 2
 expect 2 "unknown flag --no-journal-fsync" \
     run "$spec" --no-journal-fsync
+expect 2 "unknown flag --journal" run "$spec" --journal "$work/j"
+# The socket's directory does not exist, so a daemon that took the
+# flag would fail to bind and exit rather than serve forever.
+expect 2 "unknown flag --request-deadline" \
+    serve --socket "$work/none/s.sock" --request-deadline 5
+expect 2 "unknown flag --deadline" \
+    client run "$spec" --socket "$work/s.sock" --deadline 1
+
+# Positional arguments a command does not take: a workload name must
+# not turn `clear` into "clear everything".
+expect 2 "unexpected argument \"mcf\"" \
+    trace-cache clear mcf --trace-cache-dir "$cache"
+expect 2 "unexpected argument \"bogus\"" list-workloads bogus
 
 # Both spellings reach every value flag; a switch takes no value.
 expect 2 "--max-queue: invalid value 'x'" serve --max-queue=x
 expect 2 "--keep-going takes no value" run "$spec" --keep-going=1
+
+# `trace-cache warm` takes spec files: a second warm of the same spec
+# finds its trace cached, and a workload name is a spec that does not
+# load (3).
+warm=$work/warm.json
+cat > "$warm" <<'JSON'
+{"name": "cli-warm", "workloads": ["mcf"], "records": 2000,
+ "pipelines": ["baseline"]}
+JSON
+expect 0 "" trace-cache warm "$warm" --trace-cache-dir "$cache"
+expect 0 "" trace-cache warm "$warm" --trace-cache-dir "$cache"
+if ! grep -qF "1 already cached" "$work/stdout"; then
+    echo "FAIL: second trace-cache warm found nothing cached"
+    cat "$work/stdout"
+    failed=1
+fi
+expect 3 "cannot open mcf" \
+    trace-cache warm mcf --records 2000 --trace-cache-dir "$cache"
 
 # Priority bits the Analyzer cannot hold are a spec error (3), not
 # an abort (134).

@@ -289,8 +289,8 @@ TEST_F(DriverTest, ConcurrentJobsShareTracesBaselinesAndProfiles)
         " \"pipelines\": [\"prophet\","
         "   {\"name\": \"prophet\", \"label\": \"acc05\","
         "    \"el_acc\": 0.05},"
-        "   {\"name\": \"prophet\", \"label\": \"deg2\","
-        "    \"degree\": 2}],"
+        "   {\"name\": \"prophet\", \"label\": \"mvb2\","
+        "    \"mvb_candidates\": 2}],"
         " \"metrics\": [\"speedup\"],"
         " \"records\": " + std::to_string(kRecords) + ","
         " \"trace_cache\": false}",

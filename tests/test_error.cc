@@ -23,13 +23,7 @@ TEST(Error, CodeNamesAreStableAndLowerCase)
     EXPECT_STREQ(errorCodeName(ErrorCode::SpecParse), "spec-parse");
     EXPECT_STREQ(errorCodeName(ErrorCode::PipelineConfig),
                  "pipeline-config");
-    EXPECT_STREQ(errorCodeName(ErrorCode::WorkloadUnknown),
-                 "workload-unknown");
     EXPECT_STREQ(errorCodeName(ErrorCode::TraceIo), "trace-io");
-    EXPECT_STREQ(errorCodeName(ErrorCode::TraceCorrupt),
-                 "trace-corrupt");
-    EXPECT_STREQ(errorCodeName(ErrorCode::CacheLock), "cache-lock");
-    EXPECT_STREQ(errorCodeName(ErrorCode::DiskFull), "disk-full");
     EXPECT_STREQ(errorCodeName(ErrorCode::Cancelled), "cancelled");
     EXPECT_STREQ(errorCodeName(ErrorCode::FaultInjected),
                  "fault-injected");
@@ -45,13 +39,12 @@ TEST(Error, CodeNamesAreStableAndLowerCase)
                  "socket-busy");
 }
 
-TEST(Error, OnlyIoLockAndTimeoutClassesAreTransient)
+TEST(Error, OnlyIoTimeoutAndOverloadClassesAreTransient)
 {
-    // The retry policy keys off this: an I/O hiccup, a briefly held
-    // lock, or a deadline blown on an overloaded machine can clear
-    // on their own; corruption, bad specs, and cancellation cannot.
+    // The retry policy keys off this: an I/O hiccup or a deadline
+    // blown on an overloaded machine can clear on its own;
+    // corruption, bad specs, and cancellation cannot.
     EXPECT_TRUE(isTransientError(ErrorCode::TraceIo));
-    EXPECT_TRUE(isTransientError(ErrorCode::CacheLock));
     EXPECT_TRUE(isTransientError(ErrorCode::JobTimeout));
     // Overload clears as the daemon drains its queue — the error
     // frame even carries a retry_after_ms hint.
@@ -60,9 +53,6 @@ TEST(Error, OnlyIoLockAndTimeoutClassesAreTransient)
     EXPECT_FALSE(isTransientError(ErrorCode::Ok));
     EXPECT_FALSE(isTransientError(ErrorCode::SpecParse));
     EXPECT_FALSE(isTransientError(ErrorCode::PipelineConfig));
-    EXPECT_FALSE(isTransientError(ErrorCode::WorkloadUnknown));
-    EXPECT_FALSE(isTransientError(ErrorCode::TraceCorrupt));
-    EXPECT_FALSE(isTransientError(ErrorCode::DiskFull));
     EXPECT_FALSE(isTransientError(ErrorCode::Cancelled));
     EXPECT_FALSE(isTransientError(ErrorCode::FaultInjected));
     EXPECT_FALSE(isTransientError(ErrorCode::Internal));
@@ -75,14 +65,14 @@ TEST(Error, CarriesCodeContextAndTransience)
 {
     ErrorContext ctx;
     ctx.workload = "mcf";
-    ctx.path = "/tmp/x.ptrc";
+    ctx.path = "/tmp/x.journal";
     ctx.offset = 40;
-    Error e(ErrorCode::TraceCorrupt, "pc[] checksum mismatch",
+    Error e(ErrorCode::JournalCorrupt, "entry payload truncated",
             std::move(ctx));
-    EXPECT_EQ(e.code(), ErrorCode::TraceCorrupt);
+    EXPECT_EQ(e.code(), ErrorCode::JournalCorrupt);
     EXPECT_FALSE(e.transient());
     EXPECT_EQ(e.context().workload, "mcf");
-    EXPECT_EQ(e.context().path, "/tmp/x.ptrc");
+    EXPECT_EQ(e.context().path, "/tmp/x.journal");
     EXPECT_EQ(e.context().offset, 40u);
     EXPECT_TRUE(e.context().pipeline.empty());
 

@@ -103,17 +103,6 @@ TEST(Metrics, HistogramCountSumMinMax)
     ASSERT_EQ(snap.buckets.size(), metrics::Histogram::kBuckets);
 }
 
-TEST(Metrics, GaugeSetAddReset)
-{
-    metrics::Gauge &g = metrics::gauge("test.gauge");
-    g.reset();
-    g.set(10);
-    g.add(-3);
-    EXPECT_EQ(g.value(), 7);
-    g.reset();
-    EXPECT_EQ(g.value(), 0);
-}
-
 TEST(Metrics, ResetValuesKeepsRegistrationsAndAddresses)
 {
     // The driver calls resetValues() at the start of every run while
@@ -142,7 +131,7 @@ TEST(Metrics, SnapshotIsNameOrdered)
 TEST(Metrics, KindCollisionDies)
 {
     metrics::counter("test.kind_collision");
-    EXPECT_DEATH(metrics::gauge("test.kind_collision"), "");
+    EXPECT_DEATH(metrics::histogram("test.kind_collision"), "");
 }
 
 TEST(Metrics, ScopedTimerRecordsIntoHistogram)

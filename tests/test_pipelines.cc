@@ -259,6 +259,15 @@ TEST(PipelineRegistry, ValidateRejectsBadParams)
     typo.params["degre"] = ParamValue::makeNumber(4);
     bad(typo, "degre");
 
+    // Prophet's degree, hint buffer and MVB sizes are fixed: setting
+    // one names the parameters Prophet takes.
+    for (const char *fixed : {"degree", "hint_capacity", "mvb_entries"}) {
+        PipelineInstance p("prophet");
+        p.params[fixed] = ParamValue::makeNumber(64);
+        bad(p, "accepted: el_acc n_bits mvb_candidates features binary "
+               "learn");
+    }
+
     PipelineInstance ill_typed("triage");
     ill_typed.params["degree"] = ParamValue::makeString("four");
     bad(ill_typed, "must be a number");
@@ -275,8 +284,8 @@ TEST(PipelineRegistry, ValidateRejectsBadParams)
     bad(fractional, "integer");
 
     PipelineInstance huge("prophet");
-    huge.params["mvb_entries"] = ParamValue::makeNumber(1e10);
-    bad(huge, "mvb_entries");
+    huge.params["mvb_candidates"] = ParamValue::makeNumber(1e10);
+    bad(huge, "mvb_candidates");
 
     PipelineInstance negative("prophet");
     negative.params["el_acc"] = ParamValue::makeNumber(-0.1);

@@ -71,29 +71,31 @@ freshSocketPath()
         + std::to_string(++n) + ".sock";
 }
 
-/** Spec text shared by the daemon and the standalone reference. */
+/**
+ * Spec text shared by the daemon and the standalone reference;
+ * @p extra is spliced in as further top-level keys, each followed by
+ * a comma and a space.
+ */
 std::string
-specText(std::size_t records = kRecords)
+specText(std::size_t records = kRecords, const std::string &extra = "")
 {
     return "{\"name\": \"serve-e2e\","
            " \"workloads\": [\"mcf\"],"
            " \"pipelines\": [\"baseline\", \"triangel\"],"
            " \"metrics\": [\"ipc\", \"speedup\"],"
-           " \"records\": " + std::to_string(records) + ","
-           " \"trace_cache\": false,"
+           " \"records\": " + std::to_string(records) + ", "
+        + extra + "\"trace_cache\": false,"
            " \"sinks\": [{\"type\": \"csv\","
            "              \"path\": \"out.csv\"}]}";
 }
 
 /** A {"type":"run"} request frame payload around @p spec_text. */
 std::string
-runRequest(const std::string &spec_text, double deadline_s = 0.0)
+runRequest(const std::string &spec_text)
 {
     json::Value req = json::Value::makeObject();
     req.set("type", json::Value("run"));
     req.set("spec_text", json::Value(spec_text));
-    if (deadline_s > 0.0)
-        req.set("deadline_s", json::Value(deadline_s));
     return json::dump(req);
 }
 
@@ -192,7 +194,7 @@ clientRunAgainstStub(const std::string &path, const std::string &frame,
         writeFrame(fd, frame, 5000);
         ::close(fd);
     });
-    const int rc = clientRun(path, spec_path, 0.0, 5000);
+    const int rc = clientRun(path, spec_path, 5000);
     stub.join();
     ::close(listen_fd);
     ::unlink(path.c_str());
@@ -436,10 +438,31 @@ TEST_F(ServeDaemonTest, MalformedRequestsAreContained)
     EXPECT_EQ(frameType(resp), "error");
     EXPECT_EQ(errorCodeOf(resp), "protocol-error");
 
-    // A run request carrying neither spec nor spec_text.
+    // A run request without its spec_text.
     resp = roundTrip(sock, "{\"type\":\"run\"}");
     EXPECT_EQ(frameType(resp), "error");
     EXPECT_EQ(errorCodeOf(resp), "protocol-error");
+
+    // A request carries only its type and a run's spec_text: a
+    // deadline beside the spec, an inline spec object, or any key on
+    // a ping is refused by name.
+    const std::pair<const char *, std::string> stray[] = {
+        {"{\"type\":\"run\",\"spec_text\":\"{}\",\"deadline_s\":5}",
+         "deadline_s"},
+        {"{\"type\":\"run\",\"spec\":{\"workloads\":[\"mcf\"]}}", "spec"},
+        {"{\"type\":\"ping\",\"x\":1}", "x"},
+    };
+    for (const auto &[payload, key] : stray) {
+        SCOPED_TRACE(key);
+        resp = roundTrip(sock, payload);
+        EXPECT_EQ(frameType(resp), "error");
+        EXPECT_EQ(errorCodeOf(resp), "protocol-error");
+        const json::Value *m = resp.find("message");
+        ASSERT_TRUE(m && m->isString());
+        EXPECT_NE(m->asString().find("\"" + key + "\""),
+                  std::string::npos)
+            << m->asString();
+    }
 
     // An unknown spec field fails spec validation, not the daemon.
     resp = roundTrip(
@@ -451,7 +474,7 @@ TEST_F(ServeDaemonTest, MalformedRequestsAreContained)
     EXPECT_NE(msg->asString().find("bogus_knob"),
               std::string::npos);
 
-    // After all four failures the daemon still serves.
+    // After all seven failures the daemon still serves.
     resp = roundTrip(sock, "{\"type\":\"ping\"}");
     EXPECT_EQ(frameType(resp), "pong");
     daemon.drainAndStop();
@@ -461,10 +484,11 @@ TEST_F(ServeDaemonTest, UnbuildableMvbIsRejectedAndDaemonServesOn)
 {
     ServeDaemon daemon(opts);
     daemon.start();
-    // An MVB geometry the buffer cannot build, or priority bits the
+    // MVB candidates the buffer cannot hold, or priority bits the
     // Analyzer cannot hold, would abort the whole daemon on a
-    // constructor assertion; spec validation turns it into an error
-    // frame for this request alone.
+    // constructor assertion; spec validation turns them, like an MVB
+    // size (a parameter Prophet does not take), into an error frame
+    // for this request alone.
     for (const char *param : {"\"mvb_candidates\": 8",
                               "\"mvb_entries\": 1000", "\"n_bits\": 5"}) {
         SCOPED_TRACE(param);
@@ -648,11 +672,12 @@ TEST_F(ServeDaemonTest, RequestDeadlineCancelsAsJobTimeout)
 {
     ServeDaemon daemon(opts);
     daemon.start();
-    // 2M records cannot finish in 1 ms: the per-request deadline
+    // 2M records cannot finish in 1 ms: the spec's per-job deadline
     // fires and the request reports its own failure while the
     // daemon (and its resident runner) stay healthy.
     json::Value resp = roundTrip(
-        sock, runRequest(specText(2'000'000), 0.001), 60000);
+        sock, runRequest(specText(2'000'000, "\"deadline_s\": 0.001, ")),
+        60000);
     ASSERT_EQ(frameType(resp), "result") << errorCodeOf(resp);
     const json::Value *ec = resp.find("exit_code");
     ASSERT_TRUE(ec && ec->isNumber());
@@ -676,16 +701,15 @@ TEST_F(ServeDaemonTest, OutOfRangeDeadlineIsRefusedAndDaemonServesOn)
     // deadlines, and a string is not a number.
     for (const char *bad : {"1e10", "0", "-1", "\"5\""}) {
         SCOPED_TRACE(bad);
-        json::Value req;
-        ASSERT_TRUE(json::parse(runRequest(specText()), req, nullptr));
-        json::Value value;
-        ASSERT_TRUE(json::parse(bad, value, nullptr));
-        req.set("deadline_s", std::move(value));
-        json::Value resp = roundTrip(sock, json::dump(req));
+        json::Value resp = roundTrip(
+            sock, runRequest(specText(
+                      kRecords,
+                      std::string("\"deadline_s\": ") + bad + ", ")));
         EXPECT_EQ(frameType(resp), "error");
         EXPECT_EQ(errorCodeOf(resp), "spec-parse");
     }
-    json::Value resp = roundTrip(sock, runRequest(specText(), 600.0));
+    json::Value resp = roundTrip(
+        sock, runRequest(specText(kRecords, "\"deadline_s\": 600, ")));
     ASSERT_EQ(frameType(resp), "result") << errorCodeOf(resp);
     EXPECT_EQ(static_cast<int>(resp.find("exit_code")->asNumber()),
               0);

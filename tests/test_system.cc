@@ -194,18 +194,18 @@ TEST(System, WritebacksGenerateDramWrites)
 
 TEST(System, AttachedButUnfiredCancellationIsBitIdentical)
 {
-    // The poll reads the token every System::kPollRecords records —
-    // no simulation state is touched, so attaching a token that
-    // never fires must reproduce the plain run bit for bit. This is
-    // what lets the driver attach one unconditionally.
+    // The poll reads the thread's job token every
+    // System::kPollRecords records — no simulation state is touched,
+    // so a token that never fires must reproduce the plain run bit
+    // for bit. This is what lets the driver set one unconditionally.
     auto t = chaseTrace(30000, 200000);
 
     System plain(baseCfg());
     auto ref = plain.run(t);
 
     CancellationToken token;
+    cancellation::Scope scope(&token);
     System sys(baseCfg());
-    sys.setCancellation(&token);
     auto s = sys.run(t);
     EXPECT_EQ(s.ipc, ref.ipc);
     EXPECT_EQ(s.cycles, ref.cycles);
@@ -224,8 +224,8 @@ TEST(System, CancelledTokenUnwindsWithStructuredError)
     auto t = chaseTrace(30000, 200000);
     CancellationToken token;
     token.cancel();
+    cancellation::Scope scope(&token);
     System sys(baseCfg());
-    sys.setCancellation(&token);
     try {
         sys.run(t);
         FAIL() << "run did not observe the cancelled token";
@@ -248,8 +248,8 @@ TEST(System, ChildTokenUnwindsWhenOnlyItsParentFires)
     EXPECT_FALSE(attempt.cancelled());
     run.cancel();
     EXPECT_TRUE(attempt.cancelled());
+    cancellation::Scope scope(&attempt);
     System sys(baseCfg());
-    sys.setCancellation(&attempt);
     try {
         sys.run(t);
         FAIL() << "run did not observe its parent token firing";
@@ -273,8 +273,8 @@ TEST(System, CancellingAChildLeavesItsParentAndSiblingsLive)
 
     System plain(baseCfg());
     auto ref = plain.run(t);
+    cancellation::Scope scope(&sibling);
     System sys(baseCfg());
-    sys.setCancellation(&sibling);
     auto s = sys.run(t);
     EXPECT_EQ(s.cycles, ref.cycles);
     EXPECT_EQ(s.records, ref.records);
@@ -308,7 +308,7 @@ TEST(System, DeadlinePassingMidRunUnwindsWithItsOffset)
     const auto start = CancellationToken::Clock::now();
     CancellationToken token(nullptr,
                             start + std::chrono::milliseconds(5));
-    sys.setCancellation(&token);
+    cancellation::Scope scope(&token);
     try {
         sys.run(t);
         FAIL() << "run outlived its deadline";

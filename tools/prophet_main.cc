@@ -7,13 +7,15 @@
  *
  * `run` executes a spec and writes its sinks; CLI flags
  * override the spec's thread/record counts and failure policy.
- * `trace-cache warm` pre-generates the traces a spec (or an explicit
- * workload list) needs, so subsequent runs skip generation. `serve`
- * keeps traces resident for `client run` requests.
+ * `trace-cache warm` pre-generates the traces its specs need, so
+ * subsequent runs skip generation. `serve` keeps traces resident for
+ * `client run` requests, which run their spec as written.
  *
  * Every value flag takes `--flag VALUE` or `--flag=VALUE`. Each
  * command takes only the flags kCommandFlags lists for it; any other
- * flag exits 2 instead of being silently ignored.
+ * flag exits 2 instead of being silently ignored. Only run, client
+ * run and trace-cache warm take positional arguments (spec files);
+ * the other commands refuse them with exit 2.
  *
  * Exit codes (documented in --help): 0 success, 2 usage error,
  * 3 spec parse/validation error, 4 runtime failure (a job or sink
@@ -21,8 +23,8 @@
  * 5 partial failure (--keep-going: some jobs failed, the rest
  * completed and the partial results were written), 6 interrupted
  * (SIGINT/SIGTERM drained the run; completed jobs were journaled
- * when --resume/--journal was on, so rerunning with --resume
- * continues where it stopped).
+ * when --resume was on, so rerunning with --resume continues where
+ * it stopped).
  */
 
 #include <algorithm>
@@ -93,25 +95,26 @@ usage()
         "      [--no-trace-cache] [--trace-cache-dir DIR]\n"
         "      [--keep-going | --fail-fast] [--progress]\n"
         "      [--metrics-out FILE] [--trace-out FILE]\n"
-        "      [--resume | --journal FILE] [--job-timeout SEC]\n"
+        "      [--resume] [--job-timeout SEC]\n"
         "  list-workloads\n"
         "  list-pipelines\n"
-        "  trace-cache warm <spec.json | workload...>\n"
+        "  trace-cache warm <spec.json...>\n"
         "      [--threads N] [--records N] [--trace-cache-dir DIR]\n"
         "  trace-cache clear [--trace-cache-dir DIR]\n"
         "  trace-cache stats [--trace-cache-dir DIR]\n"
         "  serve --socket PATH [--serve-workers N]\n"
         "      [--max-queue N] [--max-frame-bytes N]\n"
-        "      [--io-timeout-ms N] [--request-deadline SEC]\n"
-        "      [--max-rss-mb N] [--drain-grace SEC]\n"
-        "      [--no-trace-cache] [--trace-cache-dir DIR]\n"
-        "  client run <spec.json> --socket PATH [--deadline SEC]\n"
-        "      [--timeout-ms N]\n"
+        "      [--io-timeout-ms N] [--max-rss-mb N]\n"
+        "      [--drain-grace SEC] [--no-trace-cache]\n"
+        "      [--trace-cache-dir DIR]\n"
+        "  client run <spec.json> --socket PATH [--timeout-ms N]\n"
         "  client health --socket PATH [--timeout-ms N]\n"
         "  client ping --socket PATH [--timeout-ms N]\n"
         "\n"
         "Every value flag takes --flag VALUE or --flag=VALUE. A flag\n"
-        "its command does not take exits 2.\n"
+        "its command does not take exits 2, as does a positional\n"
+        "argument given to any command but run, client run and\n"
+        "trace-cache warm.\n"
         "\n"
         "observability (run; all off by default — outputs are\n"
         "byte-identical to a run without these flags):\n"
@@ -136,7 +139,6 @@ usage()
         "                 <spec>.journal and replay completed jobs\n"
         "                 from it on restart (output is\n"
         "                 byte-identical to an uninterrupted run)\n"
-        "  --journal FILE same, with an explicit journal path\n"
         "  --job-timeout SEC\n"
         "                 per-job deadline: an overrunning job is\n"
         "                 cancelled at its next poll, recorded as a\n"
@@ -149,7 +151,9 @@ usage()
         "serving (serve / client; protocol in README \"Serving\"):\n"
         "  serve keeps traces and baselines resident, so a repeated\n"
         "  spec skips every trace load; client run is a drop-in for\n"
-        "  run against a warm daemon (same sinks, same exit codes).\n"
+        "  run against a warm daemon (same sinks, same exit codes);\n"
+        "  the daemon runs the spec as written, \"deadline_s\" and\n"
+        "  \"keep_going\" included.\n"
         "  SIGINT/SIGTERM drain the daemon: stop accepting, finish\n"
         "  or cancel in-flight requests, flush, exit 6.\n"
         "\n");
@@ -171,7 +175,6 @@ struct Flags
     // serve / client flags (refused by the other commands).
     std::string socketPath;          ///< --socket (required)
     serve::ServeOptions serveOpts;   ///< daemon knobs
-    double clientDeadlineS = 0.0;    ///< client run --deadline
     int clientTimeoutMs = -1;        ///< client --timeout-ms
 };
 
@@ -184,7 +187,7 @@ const std::map<std::string, std::vector<std::string>> kCommandFlags = {
     {"run",
      {"--threads", "--records", "--no-trace-cache", "--trace-cache-dir",
       "--keep-going", "--fail-fast", "--progress", "--metrics-out",
-      "--trace-out", "--resume", "--journal", "--job-timeout"}},
+      "--trace-out", "--resume", "--job-timeout"}},
     {"list-workloads", {}},
     {"list-pipelines", {}},
     {"trace-cache warm", {"--threads", "--records", "--trace-cache-dir"}},
@@ -192,9 +195,9 @@ const std::map<std::string, std::vector<std::string>> kCommandFlags = {
     {"trace-cache stats", {"--trace-cache-dir"}},
     {"serve",
      {"--socket", "--serve-workers", "--max-queue", "--max-frame-bytes",
-      "--io-timeout-ms", "--request-deadline", "--max-rss-mb",
-      "--drain-grace", "--no-trace-cache", "--trace-cache-dir"}},
-    {"client run", {"--socket", "--deadline", "--timeout-ms"}},
+      "--io-timeout-ms", "--max-rss-mb", "--drain-grace",
+      "--no-trace-cache", "--trace-cache-dir"}},
+    {"client run", {"--socket", "--timeout-ms"}},
     {"client health", {"--socket", "--timeout-ms"}},
     {"client ping", {"--socket", "--timeout-ms"}},
 };
@@ -208,7 +211,8 @@ takesFlag(const std::vector<std::string> &flags, const std::string &flag)
 /**
  * Parse argv[from..] for @p command (a kCommandFlags key). A value
  * flag takes `--flag VALUE` or `--flag=VALUE`; a switch takes no
- * value.
+ * value. Only run, client run and trace-cache warm take positional
+ * arguments.
  */
 bool
 parseFlags(int argc, char **argv, int from, const std::string &command,
@@ -251,8 +255,16 @@ parseFlags(int argc, char **argv, int from, const std::string &command,
     constexpr unsigned long long kMaxRecords =
         1ull << 53; // the spec schema's bound
     const std::vector<std::string> &accepted = kCommandFlags.at(command);
+    const bool takes_specs = command == "run" || command == "client run"
+        || command == "trace-cache warm";
     for (int i = from; i < argc; ++i) {
         if (argv[i][0] != '-') {
+            if (!takes_specs) {
+                std::fprintf(stderr,
+                             "prophet %s: unexpected argument \"%s\"\n",
+                             command.c_str(), argv[i]);
+                return false;
+            }
             flags.positional.push_back(argv[i]);
             continue;
         }
@@ -320,8 +332,6 @@ parseFlags(int argc, char **argv, int from, const std::string &command,
             flags.opts.metricsOut = s;
         } else if (flag == "--trace-out") {
             flags.opts.traceOut = s;
-        } else if (flag == "--journal") {
-            flags.opts.journalPath = s;
         } else if (flag == "--job-timeout") {
             if (!parseSeconds(flag, s, flags.opts.jobTimeoutS))
                 return false;
@@ -352,14 +362,8 @@ parseFlags(int argc, char **argv, int from, const std::string &command,
             if (!parseCount(flag, s, 86400000, v))
                 return false;
             flags.clientTimeoutMs = static_cast<int>(v);
-        } else if (flag == "--request-deadline") {
-            if (!parseSeconds(flag, s, flags.serveOpts.requestDeadlineS))
-                return false;
         } else if (flag == "--drain-grace") {
             if (!parseSeconds(flag, s, flags.serveOpts.drainGraceS))
-                return false;
-        } else if (flag == "--deadline") {
-            if (!parseSeconds(flag, s, flags.clientDeadlineS))
                 return false;
         }
     }
@@ -377,7 +381,7 @@ cmdRun(const Flags &flags)
         auto spec =
             driver::ExperimentSpec::fromFile(flags.positional[0]);
         driver::DriverOptions opts = flags.opts;
-        if (flags.resume && opts.journalPath.empty())
+        if (flags.resume)
             opts.journalPath = flags.positional[0] + ".journal";
         // The shutdown token rides along unconditionally: without a
         // journal an interrupt still drains cleanly and exits 6, it
@@ -419,9 +423,7 @@ cmdRun(const Flags &flags)
                 report.results.size() - report.failedJobs == 1
                     ? ""
                     : "s",
-                flags.resume || !flags.opts.journalPath.empty()
-                    ? "; rerun with --resume to continue"
-                    : "");
+                flags.resume ? "; rerun with --resume to continue" : "");
             rc = static_cast<int>(ExitCode::Interrupted);
         }
         return rc;
@@ -488,9 +490,7 @@ cmdClient(const std::string &sub, const Flags &flags)
                          "file\n");
             return static_cast<int>(ExitCode::Usage);
         }
-        return serve::clientRun(flags.socketPath,
-                                flags.positional[0],
-                                flags.clientDeadlineS,
+        return serve::clientRun(flags.socketPath, flags.positional[0],
                                 flags.clientTimeoutMs);
     }
     return serve::clientSimpleRequest(flags.socketPath, sub,
@@ -551,8 +551,8 @@ cmdTraceCacheWarm(const Flags &flags)
 {
     if (flags.positional.empty()) {
         std::fprintf(stderr,
-                     "prophet trace-cache warm: expected a spec file "
-                     "or workload names\n");
+                     "prophet trace-cache warm: expected one or more "
+                     "spec files\n");
         return 2;
     }
 
@@ -562,27 +562,16 @@ cmdTraceCacheWarm(const Flags &flags)
     std::vector<std::pair<std::string, std::size_t>> jobs;
     unsigned threads = 1;
     try {
-        for (const auto &arg : flags.positional) {
-            if (arg.size() > 5
-                && arg.compare(arg.size() - 5, 5, ".json") == 0) {
-                auto spec = driver::ExperimentSpec::fromFile(arg);
-                for (const auto &w : spec.workloads)
-                    jobs.emplace_back(w, spec.records);
-                threads = spec.threads;
-            } else if (workloads::isKnown(arg)) {
-                jobs.emplace_back(arg, std::size_t{0});
-            } else {
-                std::fprintf(stderr,
-                             "prophet trace-cache warm: unknown "
-                             "workload \"%s\"\n",
-                             arg.c_str());
-                return 1;
-            }
+        for (const auto &path : flags.positional) {
+            auto spec = driver::ExperimentSpec::fromFile(path);
+            for (const auto &w : spec.workloads)
+                jobs.emplace_back(w, spec.records);
+            threads = spec.threads;
         }
-    } catch (const driver::SpecError &e) {
+    } catch (const Error &e) {
         std::fprintf(stderr, "prophet trace-cache warm: %s\n",
                      e.what());
-        return 1;
+        return static_cast<int>(exitCodeForError(e.code()));
     }
     if (flags.opts.records != driver::DriverOptions::kNoRecords)
         for (auto &[w, r] : jobs)
